@@ -61,6 +61,7 @@ type report struct {
 	} `json:"e10_profile"`
 	// E14 is absent from reports written before the incremental online hot
 	// path; a nil slice simply skips the e14 comparison (tolerant decode).
+	// The leg_* columns hold the offline-rebuild baseline.
 	E14 []struct {
 		Procs     int     `json:"procs"`
 		Rounds    int     `json:"rounds"`
@@ -339,10 +340,10 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 		}
 	}
 
-	// E14: incremental/legacy verdict agreement is correctness; ns/event and
-	// check ns/event follow the ns gate, allocs/event the alloc gate, and the
-	// incremental speedup drops at -ns-threshold — all timing, no
-	// deterministic columns. Rows match on (procs, rounds); old reports
+	// E14: verdict agreement between the incremental monitor and the
+	// offline-rebuild baseline is correctness; ns/event and check ns/event
+	// follow the ns gate, allocs/event the alloc gate, and the incremental
+	// speedup drops at -ns-threshold — all timing, no deterministic columns. Rows match on (procs, rounds); old reports
 	// without the streaming sweep compare nothing (tolerant decode).
 	type e14key struct{ procs, rounds int }
 	type e14row struct {
@@ -355,7 +356,7 @@ func diffReports(oldPath, newPath string, oldRep, newRep report, opt options) re
 	}
 	for _, r := range newRep.E14 {
 		if !r.Agree {
-			regress("e14 procs=%d/rounds=%d: incremental verdicts disagree with legacy", r.Procs, r.Rounds)
+			regress("e14 procs=%d/rounds=%d: incremental verdicts disagree with the offline rebuild", r.Procs, r.Rounds)
 		}
 		prev, ok := oldE14[e14key{r.Procs, r.Rounds}]
 		if !ok {

@@ -27,8 +27,9 @@
 //   - ns/op columns and E7/E10/E14 speedups are wall-clock noise across
 //     machines; they are reported but gate only when -ns-threshold is set
 //     (> 0). The same applies to the E14 ns/event and check-ns/event
-//     columns. E14 incremental/legacy verdict agreement is correctness,
-//     like E1/E4 rates.
+//     columns. E14 agreement between the incremental monitor and the
+//     offline-rebuild baseline (the leg_* columns) is correctness, like
+//     E1/E4 rates.
 //   - E10 allocs/op and bytes/op columns and E14 allocs/event are
 //     deterministic in steady state but sensitive to Go-version and GC
 //     accounting changes, so they follow their own opt-in -alloc-threshold

@@ -39,8 +39,9 @@ type jsonReport struct {
 	// (cmd/benchdiff) must treat a missing or empty list as "not measured",
 	// which omitempty preserves on the write side too.
 	E10 []jsonProfileRow `json:"e10_profile,omitempty"`
-	// E14: online streaming throughput, incremental vs legacy snapshot path.
-	// Absent from reports written before the incremental hot path existed —
+	// E14: online streaming throughput, incremental monitor vs the
+	// offline-rebuild baseline (the leg_* keys; the name predates the
+	// baseline and is kept so older reports still diff). Absent from reports written before the incremental hot path existed —
 	// like E10, decoders must treat a missing or empty list as "not measured".
 	E14 []jsonStreamRow `json:"e14_stream,omitempty"`
 	// E15: long-horizon soak, retained working set vs unbounded monitor.

@@ -8,7 +8,7 @@
 //	benchtab -table e6      one-time setup amortization (Key Idea 1)
 //	benchtab -table e7      serial vs parallel batch evaluation sweep
 //	benchtab -table e10     fused 32-relation profile kernel vs legacy scan
-//	benchtab -table e14     streaming-throughput sweep: incremental vs legacy snapshots
+//	benchtab -table e14     streaming-throughput sweep: online monitor vs offline rebuild
 //	benchtab -table e15     long-horizon soak: retention/compaction vs unbounded monitor
 //	benchtab -table alg     relation algebra: hierarchy + composition table
 //	benchtab -table all     everything
@@ -390,7 +390,7 @@ func e10(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer)
 }
 
 func e14(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer) error {
-	fmt.Fprintln(out, "E14 — streaming throughput: incremental vs legacy online snapshots (ring workload, Check per event)")
+	fmt.Fprintln(out, "E14 — streaming throughput: incremental online monitor vs offline rebuild at each settlement (ring workload, Check per event)")
 	fmt.Fprintln(out)
 	rows, err := bench.StreamSweepObs(bench.DefaultStreamConfigs(), reps, seed, reg, tr)
 	if err != nil {
@@ -412,9 +412,9 @@ func e14(out io.Writer, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer)
 		})
 	}
 	fmt.Fprintln(out, bench.FormatTable(
-		[]string{"procs", "rounds", "events", "inc ns/ev", "leg ns/ev",
-			"inc ev/s", "leg ev/s", "inc allocs/ev", "leg allocs/ev",
-			"inc check ns", "leg check ns", "speedup", "verdicts"}, cells))
+		[]string{"procs", "rounds", "events", "inc ns/ev", "rebuild ns/ev",
+			"inc ev/s", "rebuild ev/s", "inc allocs/ev", "rebuild allocs/ev",
+			"inc check ns", "rebuild check ns", "speedup", "verdicts"}, cells))
 	return nil
 }
 

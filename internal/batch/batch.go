@@ -55,17 +55,6 @@ type Options struct {
 	// span per worker goroutine (tid = worker index + 1), in Chrome
 	// trace_event form.
 	Tracer *obs.Tracer
-	// LegacyScan forces the per-relation scan paths: 32 independent
-	// EvalCount calls per Profiles pair and 8 per Matrix cell, instead of
-	// the fused profile kernel (core.EvalProfile / core.EvalTable1). The
-	// results are identical either way — this exists for differential
-	// testing and for measuring the fusion win (EXPERIMENTS.md E10).
-	//
-	// The fused kernel implements the fast evaluation conditions, so it is
-	// only substituted when the engine's evaluator is core.FastEvaluator;
-	// engines built over the naive or proxy evaluator always use the
-	// per-relation path with that evaluator's cost model.
-	LegacyScan bool
 }
 
 // engineObs holds the engine's pre-interned instruments; all nil when no
@@ -85,7 +74,7 @@ type Engine struct {
 	a       *core.Analysis
 	workers int
 	newEval func(*core.Analysis) core.Evaluator
-	fused   bool // Profiles/Matrix use the fused kernel (see Options.LegacyScan)
+	fused   bool // Profiles/Matrix use the fused kernel (fast evaluator only)
 	met     engineObs
 	tr      *obs.Tracer
 }
@@ -100,11 +89,12 @@ func New(a *core.Analysis, opts Options) *Engine {
 	if ne == nil {
 		ne = func(a *core.Analysis) core.Evaluator { return core.NewFast(a) }
 	}
-	e := &Engine{a: a, workers: w, newEval: ne, tr: opts.Tracer}
-	if !opts.LegacyScan {
-		_, isFast := ne(a).(*core.FastEvaluator)
-		e.fused = isFast
-	}
+	// The fused kernel implements the fast evaluation conditions, so it is
+	// only substituted for core.FastEvaluator; engines over the naive or
+	// proxy evaluator keep the per-relation scans with that evaluator's
+	// cost model.
+	_, isFast := ne(a).(*core.FastEvaluator)
+	e := &Engine{a: a, workers: w, newEval: ne, fused: isFast, tr: opts.Tracer}
 	if reg := opts.Metrics; reg != nil {
 		e.met = engineObs{
 			batches:      reg.Counter("batch.batches"),
@@ -294,11 +284,11 @@ type Profile struct {
 // Profiles evaluates the full relation set ℛ for every pair. Profile order
 // matches pair order.
 //
-// By default (fast evaluator, no Options.LegacyScan) each pair runs through
-// the fused profile kernel: one shared pass per proxy pairing over cuts
-// cached once per interval (core.EvalProfile), instead of 32 independent
-// scans — same verdicts, a fraction of the comparisons, zero allocations
-// per pair beyond the Holding slice.
+// With the fast evaluator each pair runs through the fused profile kernel:
+// one shared pass per proxy pairing over cuts cached once per interval
+// (core.EvalProfile), instead of 32 independent scans — same verdicts, a
+// fraction of the comparisons, zero allocations per pair beyond the Holding
+// slice.
 func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 	out := make([]Profile, len(pairs))
 	all := core.AllRel32()
@@ -344,9 +334,9 @@ func (e *Engine) Profiles(pairs []Pair) ([]Profile, Stats) {
 // Matrix computes the strongest-relation pair matrix over the named
 // intervals — the parallel counterpart of hierarchy.Summarize, cell-for-cell
 // identical to it. names and ivs run in parallel; all intervals must belong
-// to the engine's execution. By default each cell is decided by one fused
-// Table 1 pass (core.EvalTable1) instead of six per-relation scans; see
-// Options.LegacyScan.
+// to the engine's execution. With the fast evaluator each cell is decided by
+// one fused Table 1 pass (core.EvalTable1) instead of six per-relation
+// scans.
 func (e *Engine) Matrix(names []string, ivs []*interval.Interval) (*hierarchy.PairMatrix, Stats, error) {
 	if len(names) != len(ivs) {
 		return nil, Stats{}, fmt.Errorf("batch: %d names for %d intervals", len(names), len(ivs))

@@ -347,13 +347,16 @@ func TestSharedAnalysisStress(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesLegacyScan is the engine-level differential for the fused
-// profile kernel: Profiles and Matrix under the default fused path must be
-// result-identical to the forced per-relation scans (Options.LegacyScan) and
-// to scans under the naive evaluator, while spending strictly fewer
-// comparisons than the legacy fast scan.
-func TestFusedMatchesLegacyScan(t *testing.T) {
+// TestFusedMatchesPerRelationScan is the engine-level differential for the
+// fused profile kernel: Profiles and Matrix on the default fast engine must
+// be result-identical to the per-relation scans of the naive and proxy
+// engines and to hierarchy.Summarize under the fast evaluator, while
+// spending strictly fewer comparisons than the 32 per-relation fast scans it
+// fuses (Analysis.EvalRel32Count) and never more than the six canonical fast
+// scans per matrix cell (Evaluator.EvalCount).
+func TestFusedMatchesPerRelationScan(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
+	names := []string{"a", "b", "c", "d"}
 	for trial := 0; trial < 10; trial++ {
 		a, ivs, _ := randomWorkload(r)
 		var pairs []Pair
@@ -365,53 +368,75 @@ func TestFusedMatchesLegacyScan(t *testing.T) {
 			}
 		}
 		fused := New(a, Options{Workers: 4})
-		legacy := New(a, Options{Workers: 4, LegacyScan: true})
-		naive := New(a, Options{Workers: 4, LegacyScan: true, NewEvaluator: evaluators["naive"]})
-
 		fp, fs := fused.Profiles(pairs)
-		lp, ls := legacy.Profiles(pairs)
-		np, _ := naive.Profiles(pairs)
-		for i := range pairs {
-			if fp[i].Bits != lp[i].Bits || fp[i].Bits != np[i].Bits {
-				t.Fatalf("trial %d pair %d: masks differ: fused=%032b legacy=%032b naive=%032b",
-					trial, i, fp[i].Bits, lp[i].Bits, np[i].Bits)
-			}
-			if !reflect.DeepEqual(fp[i].Holding, lp[i].Holding) {
-				t.Fatalf("trial %d pair %d: holding differs: fused=%v legacy=%v",
-					trial, i, fp[i].Holding, lp[i].Holding)
-			}
-		}
-		if fs.Held != ls.Held || fs.Queries != ls.Queries {
-			t.Fatalf("trial %d: stats differ: fused=%+v legacy=%+v", trial, fs, ls)
-		}
-		if fs.Comparisons >= ls.Comparisons {
-			t.Fatalf("trial %d: fused profiles spent %d comparisons, legacy %d — no win",
-				trial, fs.Comparisons, ls.Comparisons)
-		}
-
-		names := []string{"a", "b", "c", "d"}
 		fm, fms, err := fused.Matrix(names, ivs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm, lms, err := legacy.Matrix(names, ivs)
+		for _, name := range []string{"naive", "proxy"} {
+			scan := New(a, Options{Workers: 4, NewEvaluator: evaluators[name]})
+			sp, ss := scan.Profiles(pairs)
+			for i := range pairs {
+				if fp[i].Bits != sp[i].Bits || !reflect.DeepEqual(fp[i].Holding, sp[i].Holding) {
+					t.Fatalf("trial %d pair %d: fused mask %032b holding %v, %s scan %032b holding %v",
+						trial, i, fp[i].Bits, fp[i].Holding, name, sp[i].Bits, sp[i].Holding)
+				}
+			}
+			if fs.Held != ss.Held || fs.Queries != ss.Queries {
+				t.Fatalf("trial %d: profile stats differ: fused=%+v %s=%+v", trial, fs, name, ss)
+			}
+			sm, sms, err := scan.Matrix(names, ivs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fm.String() != sm.String() || fms.Held != sms.Held {
+				t.Fatalf("trial %d: fused matrix (held %d) differs from %s scan (held %d):\n%s\nwant:\n%s",
+					trial, fms.Held, name, sms.Held, fm.String(), sm.String())
+			}
+		}
+
+		fast := core.NewFast(a)
+		want, err := hierarchy.Summarize(a, fast, names, ivs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fm.String() != lm.String() {
-			t.Fatalf("trial %d: fused matrix differs from legacy:\n%s\nwant:\n%s",
-				trial, fm.String(), lm.String())
+		if fm.String() != want.String() {
+			t.Fatalf("trial %d: fused matrix differs from hierarchy.Summarize:\n%s\nwant:\n%s",
+				trial, fm.String(), want.String())
 		}
-		if fms.Held != lms.Held {
-			t.Fatalf("trial %d: matrix held tallies differ: fused=%d legacy=%d",
-				trial, fms.Held, lms.Held)
+
+		var scanCmp int64
+		for _, p := range pairs {
+			for _, rel := range core.AllRel32() {
+				_, cmp, err := a.EvalRel32Count(fast, rel, p.X, p.Y, interval.DefPerNode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanCmp += cmp
+			}
 		}
-		// The legacy matrix scans only the six canonical relations while the
-		// fused kernel decides all eight, so tiny workloads can tie; the
-		// fused path must simply never spend more.
-		if fms.Comparisons > lms.Comparisons {
-			t.Fatalf("trial %d: fused matrix spent %d comparisons, legacy %d — regression",
-				trial, fms.Comparisons, lms.Comparisons)
+		if fs.Comparisons >= scanCmp {
+			t.Fatalf("trial %d: fused profiles spent %d comparisons, per-relation fast scans %d — no win",
+				trial, fs.Comparisons, scanCmp)
+		}
+		// The per-relation matrix scans only the six canonical relations
+		// while the fused kernel decides all eight, so tiny workloads can
+		// tie; the fused path must simply never spend more.
+		var cellCmp int64
+		for i, x := range ivs {
+			for j, y := range ivs {
+				if i == j {
+					continue
+				}
+				for _, rel := range hierarchy.Canonical() {
+					_, cmp := fast.EvalCount(rel, x, y)
+					cellCmp += cmp
+				}
+			}
+		}
+		if fms.Comparisons > cellCmp {
+			t.Fatalf("trial %d: fused matrix spent %d comparisons, per-relation fast scans %d — regression",
+				trial, fms.Comparisons, cellCmp)
 		}
 	}
 }

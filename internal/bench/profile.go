@@ -13,9 +13,9 @@ import (
 
 // ProfileRow is one point of experiment E10: the fused 32-relation profile
 // kernel (core.EvalProfile via batch.Engine.Profiles) against the legacy
-// per-relation scan (batch.Options.LegacyScan) on the E7 ring workload at
-// |N_X| = |N_Y| = N. Costs are per profile, i.e. per ordered pair × all 32
-// relations of ℛ.
+// per-relation scan (scanProfiles: 32 independent Analysis.EvalRel32Count
+// calls per pair) on the E7 ring workload at |N_X| = |N_Y| = N. Costs are
+// per profile, i.e. per ordered pair × all 32 relations of ℛ.
 type ProfileRow struct {
 	N            int
 	Pairs        int     // ordered round pairs per batch
@@ -51,18 +51,18 @@ func profilePairs(n int, seed int64) (*sim.Result, []batch.Pair) {
 }
 
 // ProfileSweep runs E10: for each N it profiles every ordered round pair of
-// the ring workload through the fused kernel and through the forced legacy
-// 32-scan, on serial (Workers: 1) engines sharing one Analysis per size —
-// both paths hit the same warm proxy-cut cache, so the measured gap is the
-// kernel itself, not cache effects. Per-profile allocations and bytes come
-// from runtime.MemStats deltas around the timed loop (single-threaded, so
-// the deltas are exact).
+// the ring workload through the fused kernel on a serial (Workers: 1)
+// engine and through the legacy 32-scan loop, both over one Analysis per
+// size — both paths hit the same warm proxy-cut cache, so the measured gap
+// is the kernel itself, not cache effects. Per-profile allocations and
+// bytes come from runtime.MemStats deltas around the timed loop
+// (single-threaded, so the deltas are exact).
 func ProfileSweep(ns []int, reps int, seed int64) []ProfileRow {
 	return ProfileSweepObs(ns, reps, seed, nil, nil)
 }
 
-// ProfileSweepObs is ProfileSweep with the per-size Analysis and both
-// engines instrumented against reg and tr (either may be nil): the registry
+// ProfileSweepObs is ProfileSweep with the per-size Analysis and the fused
+// engine instrumented against reg and tr (either may be nil): the registry
 // accumulates the core.fused.* kernel counters and the batch.* engine
 // counters across the sweep, which benchtab -json snapshots into its report.
 func ProfileSweepObs(ns []int, reps int, seed int64, reg *obs.Registry, tr *obs.Tracer) []ProfileRow {
@@ -75,21 +75,28 @@ func ProfileSweepObs(ns []int, reps int, seed int64, reg *obs.Registry, tr *obs.
 		a := core.NewAnalysis(res.Exec)
 		a.Instrument(reg, tr)
 		fused := batch.New(a, batch.Options{Workers: 1, Metrics: reg, Tracer: tr})
-		legacy := batch.New(a, batch.Options{Workers: 1, LegacyScan: true, Metrics: reg, Tracer: tr})
+		fusedRun := func() int64 {
+			_, st := fused.Profiles(pairs)
+			return st.Comparisons
+		}
+		legacyRun := func() int64 {
+			_, cmp := scanProfiles(a, pairs)
+			return cmp
+		}
 
 		// Warm the cut and proxy-cut caches out of the timed loops, and
 		// cross-check the two paths pair-for-pair while at it.
 		fp, _ := fused.Profiles(pairs)
-		lp, _ := legacy.Profiles(pairs)
+		lp, _ := scanProfiles(a, pairs)
 		agree := true
 		for i := range pairs {
-			if fp[i].Bits != lp[i].Bits {
+			if fp[i].Bits != lp[i] {
 				agree = false
 				break
 			}
 		}
 
-		measure := func(e *batch.Engine) (nsOp, cmpOp, allocsOp, bytesOp float64) {
+		measure := func(run func() int64) (nsOp, cmpOp, allocsOp, bytesOp float64) {
 			ops := float64(reps) * float64(len(pairs))
 			runtime.GC()
 			var m0, m1 runtime.MemStats
@@ -97,8 +104,7 @@ func ProfileSweepObs(ns []int, reps int, seed int64, reg *obs.Registry, tr *obs.
 			var cmp int64
 			start := time.Now()
 			for i := 0; i < reps; i++ {
-				_, st := e.Profiles(pairs)
-				cmp += st.Comparisons
+				cmp += run()
 			}
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&m1)
@@ -110,12 +116,37 @@ func ProfileSweepObs(ns []int, reps int, seed int64, reg *obs.Registry, tr *obs.
 		}
 
 		row := ProfileRow{N: n, Pairs: len(pairs), Agree: agree}
-		row.FusedNs, row.FusedCmp, row.FusedAllocs, row.FusedBytes = measure(fused)
-		row.LegacyNs, row.LegacyCmp, row.LegacyAllocs, row.LegacyBytes = measure(legacy)
+		row.FusedNs, row.FusedCmp, row.FusedAllocs, row.FusedBytes = measure(fusedRun)
+		row.LegacyNs, row.LegacyCmp, row.LegacyAllocs, row.LegacyBytes = measure(legacyRun)
 		if row.FusedNs > 0 {
 			row.Speedup = row.LegacyNs / row.FusedNs
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// scanProfiles is the legacy side of E10: every pair's profile decided by 32
+// independent per-relation scans under the fast evaluator, exactly the loop
+// the fused kernel replaces. It returns each pair's holding mask (bit i set
+// iff core.AllRel32()[i] holds) and the total comparison count.
+func scanProfiles(a *core.Analysis, pairs []batch.Pair) ([]uint32, int64) {
+	ev := core.NewFast(a)
+	masks := make([]uint32, len(pairs))
+	var cmp int64
+	for i, p := range pairs {
+		for bit, r := range core.AllRel32() {
+			held, checks, err := a.EvalRel32Count(ev, r, p.X, p.Y, interval.DefPerNode)
+			if err != nil {
+				// Ring rounds are disjoint, and per-node proxies of valid
+				// intervals are never empty.
+				panic(err)
+			}
+			cmp += checks
+			if held {
+				masks[i] |= 1 << uint(bit)
+			}
+		}
+	}
+	return masks, cmp
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"causet/internal/batch"
@@ -29,23 +30,35 @@ func TestProfileSweepAgreesAndWins(t *testing.T) {
 	}
 }
 
-// profileBench benchmarks Profiles over the E7 sweep sizes on one warm
-// serial engine, reporting comparisons per profile alongside the allocation
-// columns (-benchmem or b.ReportAllocs).
+// profileBench benchmarks one profiling pass (fused engine or legacy scan
+// loop) over the E7 sweep sizes on a warm Analysis, reporting comparisons
+// per profile alongside the allocation columns (-benchmem or
+// b.ReportAllocs).
 func profileBench(b *testing.B, legacy bool) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			res, pairs := profilePairs(n, 1)
 			a := core.NewAnalysis(res.Exec)
-			eng := batch.New(a, batch.Options{Workers: 1, LegacyScan: legacy})
-			eng.Profiles(pairs) // warm the cut and proxy-cut caches
+			eng := batch.New(a, batch.Options{Workers: 1})
+			run := func() (cmp, held int64) {
+				if legacy {
+					masks, cmp := scanProfiles(a, pairs)
+					for _, m := range masks {
+						held += int64(bits.OnesCount32(m))
+					}
+					return cmp, held
+				}
+				_, st := eng.Profiles(pairs)
+				return st.Comparisons, st.Held
+			}
+			run() // warm the cut and proxy-cut caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cmp, held int64
 			for i := 0; i < b.N; i++ {
-				_, st := eng.Profiles(pairs)
-				cmp += st.Comparisons
-				held += st.Held
+				c, h := run()
+				cmp += c
+				held += h
 			}
 			b.StopTimer()
 			if held == 0 {
@@ -63,6 +76,7 @@ func profileBench(b *testing.B, legacy bool) {
 // (lower ns/profile and cmp/profile at every size).
 func BenchmarkProfileFused(b *testing.B) { profileBench(b, false) }
 
-// BenchmarkProfileLegacy measures the forced per-relation 32-scan path on
-// the same workload — the baseline BenchmarkProfileFused beats.
+// BenchmarkProfileLegacy measures the per-relation 32-scan loop
+// (scanProfiles) on the same workload — the baseline BenchmarkProfileFused
+// beats.
 func BenchmarkProfileLegacy(b *testing.B) { profileBench(b, true) }

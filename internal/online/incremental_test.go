@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"causet/internal/hierarchy"
+	"causet/internal/monitor"
 	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/sim"
@@ -29,24 +31,48 @@ func phaseConditions(phases []sim.Phase) [][2]string {
 	return conds
 }
 
-// driveMonitored replays a generated workload event by event onto a fresh
-// stream + online monitor (legacy or incremental), observing every event
-// into its phase interval, completing each phase as its last event arrives,
-// and calling Check after every event. It returns the per-event verdict
-// trace (one rendered line per appended event), a rendering of every real
-// event's forward and reverse timestamps at the final snapshot, and the
-// rendered StrongestBetween answer for every consecutive phase pair.
-func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string, legacy bool) (trace []string, clocks string, strongest []string) {
+// agreementRun is one workload driven through the online monitor next to
+// its offline oracle. The oracle is independent code: whenever a condition
+// becomes evaluable, a cold Builder.Build of the stream's prefix is handed to
+// a fresh offline monitor.Monitor (full clock rebuild, no views, no carried
+// caches), which evaluates the condition there.
+type agreementRun struct {
+	conds [][2]string
+	// trace is the rendered online Check listing after every appended event.
+	trace []string
+	// offline holds each condition's offline verdict, evaluated at the
+	// prefix ending at event readyAt (the completion of its last interval).
+	offline map[string]monitor.Result
+	readyAt map[string]int
+	// clocks renders every real event's online forward and reverse
+	// timestamps at the final snapshot; wantClocks the same from vclock.New.
+	clocks, wantClocks string
+	// strongest is the online StrongestBetween answer for every consecutive
+	// phase pair at the end of the run; wantStrongest the offline
+	// HeldTable1 + hierarchy.Strongest answer over the final cold build.
+	strongest, wantStrongest []string
+}
+
+// runAgreement replays a generated workload event by event onto a fresh
+// stream + online monitor, observing every event into its phase interval,
+// completing each phase as its last event arrives, and calling Check after
+// every event; at each completion it also settles the newly evaluable
+// conditions on the offline oracle.
+func runAgreement(t testing.TB, res *sim.Result, conds [][2]string) *agreementRun {
 	t.Helper()
 	s := NewStream(res.Exec.NumProcs())
 	m := NewMonitor(s)
-	if legacy {
-		m.SetLegacy(true)
+	r := &agreementRun{
+		conds:   conds,
+		offline: make(map[string]monitor.Result),
+		readyAt: make(map[string]int),
 	}
-	for _, c := range conds {
+	refs := make([][]string, len(conds))
+	for i, c := range conds {
 		if err := m.AddCondition(c[0], c[1]); err != nil {
 			t.Fatalf("AddCondition(%q): %v", c[0], err)
 		}
+		refs[i] = monitor.Referenced(monitor.MustParse(c[1]))
 	}
 	phaseOf := make(map[poset.EventID]int)
 	remaining := make([]int, len(res.Phases))
@@ -56,92 +82,170 @@ func driveMonitored(t testing.TB, res *sim.Result, conds [][2]string, legacy boo
 			phaseOf[e] = i
 		}
 	}
+	complete := make(map[string][]poset.EventID)
+	coldBuild := func() *poset.Execution {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		ex, err := s.b.Build()
+		if err != nil {
+			t.Fatalf("cold build: %v", err)
+		}
+		return ex
+	}
+	// settleOffline evaluates, on a cold build of the current prefix, every
+	// condition whose intervals are now all complete for the first time.
+	settleOffline := func(event int) {
+		var off *monitor.Monitor
+		for i, c := range conds {
+			if _, done := r.readyAt[c[0]]; done {
+				continue
+			}
+			ready := true
+			for _, ref := range refs[i] {
+				if _, ok := complete[ref]; !ok {
+					ready = false
+				}
+			}
+			if !ready {
+				continue
+			}
+			if off == nil {
+				off = monitor.New(coldBuild())
+			}
+			for _, ref := range refs[i] {
+				if _, ok := off.Interval(ref); !ok {
+					if err := off.Define(ref, complete[ref]); err != nil {
+						t.Fatalf("offline Define(%q): %v", ref, err)
+					}
+				}
+			}
+			if err := off.AddCondition(c[0], c[1]); err != nil {
+				t.Fatalf("offline AddCondition(%q): %v", c[0], err)
+			}
+			r.readyAt[c[0]] = event
+		}
+		if off == nil {
+			return
+		}
+		for _, v := range off.Check() {
+			r.offline[v.Name] = v
+		}
+	}
+	event := 0
 	if _, err := ReplayStepsOn(s, res.Exec, func(_ *Stream, e poset.EventID) error {
 		if pi, ok := phaseOf[e]; ok {
-			if err := m.Observe(res.Phases[pi].Name, e); err != nil {
+			name := res.Phases[pi].Name
+			if err := m.Observe(name, e); err != nil {
 				return err
 			}
 			remaining[pi]--
 			if remaining[pi] == 0 {
-				if err := m.Complete(res.Phases[pi].Name); err != nil {
+				if err := m.Complete(name); err != nil {
 					return err
 				}
+				complete[name] = res.Phases[pi].Events
+				settleOffline(event)
 			}
 		}
-		var line strings.Builder
-		for _, r := range m.Check() {
-			fmt.Fprintf(&line, "%s=%s;", r.Name, r.State)
-			if r.Err != nil {
-				fmt.Fprintf(&line, "err=%v;", r.Err)
-			}
-		}
-		trace = append(trace, line.String())
+		r.trace = append(r.trace, renderResults(m.Check()))
+		event++
 		return nil
 	}); err != nil {
-		t.Fatalf("replay (legacy=%v): %v", legacy, err)
+		t.Fatalf("replay: %v", err)
 	}
 
 	snap := s.Snapshot()
-	var cl strings.Builder
-	for _, e := range snap.Exec.RealEvents() {
-		fmt.Fprintf(&cl, "%v T=%v TR=%v\n", e, snap.Analysis.Clocks().T(e), snap.Analysis.Clocks().TR(e))
+	cold := vclock.New(res.Exec)
+	var got, want strings.Builder
+	for _, e := range res.Exec.RealEvents() {
+		fmt.Fprintf(&got, "%v T=%v TR=%v\n", e, snap.Analysis.Clocks().T(e), snap.Analysis.Clocks().TR(e))
+		fmt.Fprintf(&want, "%v T=%v TR=%v\n", e, cold.T(e), cold.TR(e))
 	}
-	clocks = cl.String()
+	r.clocks, r.wantClocks = got.String(), want.String()
 
-	for i := 0; i+1 < len(res.Phases); i++ {
-		rels, err := m.StrongestBetween(res.Phases[i].Name, res.Phases[i+1].Name)
-		strongest = append(strongest, fmt.Sprintf("%v/%v", rels, err))
+	off := monitor.New(coldBuild())
+	for name, evs := range complete {
+		if err := off.Define(name, evs); err != nil {
+			t.Fatalf("offline Define(%q): %v", name, err)
+		}
 	}
-	return trace, clocks, strongest
+	for i := 0; i+1 < len(res.Phases); i++ {
+		x, y := res.Phases[i].Name, res.Phases[i+1].Name
+		rels, err := m.StrongestBetween(x, y)
+		r.strongest = append(r.strongest, fmt.Sprintf("%v/%v", rels, err))
+		held, err := off.HeldTable1(x, y)
+		if err == nil {
+			rels = hierarchy.Strongest(held)
+		} else {
+			rels = nil
+		}
+		r.wantStrongest = append(r.wantStrongest, fmt.Sprintf("%v/%v", rels, err))
+	}
+	return r
 }
 
-// diffRuns drives one workload through the legacy and incremental paths and
-// fails on any divergence: per-event verdict traces, final clock tables,
-// and StrongestBetween answers must be byte-identical.
-func diffRuns(t testing.TB, res *sim.Result, label string) {
+// wantTrace renders the Check listing the oracle predicts after every
+// event: a condition reports its offline verdict from the event it became
+// evaluable on, and Pending before that.
+func (r *agreementRun) wantTrace() []string {
+	out := make([]string, len(r.trace))
+	rs := make([]monitor.Result, len(r.conds))
+	for i := range out {
+		for k, c := range r.conds {
+			if at, ok := r.readyAt[c[0]]; ok && at <= i {
+				rs[k] = r.offline[c[0]]
+			} else {
+				rs[k] = monitor.Result{Name: c[0], State: monitor.Pending}
+			}
+		}
+		out[i] = renderResults(rs)
+	}
+	return out
+}
+
+// compare reports the first divergence between the online run and its
+// offline oracle: per-event verdict listings, final clock tables, and
+// StrongestBetween answers must all be byte-identical.
+func (r *agreementRun) compare() error {
+	want := r.wantTrace()
+	for i := range want {
+		if r.trace[i] != want[i] {
+			return fmt.Errorf("verdicts diverge at event %d:\nonline:  %s\noffline: %s", i, r.trace[i], want[i])
+		}
+	}
+	if r.clocks != r.wantClocks {
+		return fmt.Errorf("final clock tables diverge:\nonline:\n%s\nvclock.New:\n%s", r.clocks, r.wantClocks)
+	}
+	for i := range r.wantStrongest {
+		if r.strongest[i] != r.wantStrongest[i] {
+			return fmt.Errorf("StrongestBetween(%d) diverges: online %s, offline %s", i, r.strongest[i], r.wantStrongest[i])
+		}
+	}
+	return nil
+}
+
+// diffRuns drives one workload through the online monitor and its offline
+// oracle, fails on any divergence, and returns the run for further checks.
+func diffRuns(t testing.TB, res *sim.Result, label string) *agreementRun {
 	t.Helper()
 	if len(res.Phases) < 2 {
 		t.Fatalf("%s: workload has %d phases; need at least 2", label, len(res.Phases))
 	}
-	conds := phaseConditions(res.Phases)
-	incTrace, incClocks, incStrong := driveMonitored(t, res, conds, false)
-	legTrace, legClocks, legStrong := driveMonitored(t, res, conds, true)
-	if len(incTrace) != len(legTrace) {
-		t.Fatalf("%s: trace lengths differ: incremental %d, legacy %d", label, len(incTrace), len(legTrace))
+	r := runAgreement(t, res, phaseConditions(res.Phases))
+	if err := r.compare(); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	for i := range incTrace {
-		if incTrace[i] != legTrace[i] {
-			t.Fatalf("%s: verdicts diverge at event %d:\nincremental: %s\nlegacy:      %s", label, i, incTrace[i], legTrace[i])
-		}
-	}
-	if incClocks != legClocks {
-		t.Errorf("%s: final clock tables diverge:\nincremental:\n%s\nlegacy:\n%s", label, incClocks, legClocks)
-	}
-	for i := range incStrong {
-		if incStrong[i] != legStrong[i] {
-			t.Errorf("%s: StrongestBetween(%d) diverges: incremental %s, legacy %s", label, i, incStrong[i], legStrong[i])
-		}
-	}
-
-	// The incremental clocks must also agree with a cold offline rebuild of
-	// the original execution — the legacy path is itself under test here, so
-	// anchor both to the independent vclock.New ground truth.
-	cold := vclock.New(res.Exec)
-	var want strings.Builder
-	for _, e := range res.Exec.RealEvents() {
-		fmt.Fprintf(&want, "%v T=%v TR=%v\n", e, cold.T(e), cold.TR(e))
-	}
-	if incClocks != want.String() {
-		t.Errorf("%s: incremental clocks disagree with offline vclock.New:\nincremental:\n%s\noffline:\n%s", label, incClocks, want.String())
-	}
+	return r
 }
 
-// TestIncrementalSnapshotAgreement is the differential anchor of the
-// incremental hot path: across every structured workload pattern and a
-// spread of seeds, the incremental monitor must produce byte-identical
-// verdict traces, clock tables, and StrongestBetween answers to the legacy
-// full-rebuild path (and to an offline clock rebuild).
+// TestIncrementalSnapshotAgreement is the differential anchor of the online
+// hot path: across every structured workload pattern and a spread of seeds,
+// the online monitor must produce the per-event verdict listings, clock
+// tables, and StrongestBetween answers of the offline oracle. The suite
+// fails unless it sees both a Holds and a Violated settlement, so a
+// condition set that only ever agrees on one verdict cannot pass vacuously.
 func TestIncrementalSnapshotAgreement(t *testing.T) {
+	seen := make(map[monitor.State]int)
 	for _, pat := range sim.Patterns() {
 		if pat == sim.Random {
 			continue // no phases; covered by the faultsim chaos suite
@@ -154,14 +258,47 @@ func TestIncrementalSnapshotAgreement(t *testing.T) {
 			if len(res.Phases) < 2 {
 				continue
 			}
-			diffRuns(t, res, fmt.Sprintf("%v/seed=%d", pat, seed))
+			r := diffRuns(t, res, fmt.Sprintf("%v/seed=%d", pat, seed))
+			for _, v := range r.offline {
+				seen[v.State]++
+			}
 		}
+	}
+	if seen[monitor.Holds] == 0 || seen[monitor.Violated] == 0 {
+		t.Errorf("settlements by state %v: need at least one holds and one violated, or the differential is vacuous", seen)
+	}
+}
+
+// TestAgreementComparatorCatchesFlippedVerdict calibrates the differential:
+// with one expected offline verdict flipped, the comparator must report a
+// divergence. A comparator that cannot see a flipped verdict would let
+// TestIncrementalSnapshotAgreement pass whatever the monitor did.
+func TestAgreementComparatorCatchesFlippedVerdict(t *testing.T) {
+	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 4, Rounds: 4, Seed: 1})
+	r := diffRuns(t, res, "ring/seed=1")
+	name := r.conds[0][0]
+	flipped := r.offline[name]
+	switch flipped.State {
+	case monitor.Holds:
+		flipped.State = monitor.Violated
+	case monitor.Violated:
+		flipped.State = monitor.Holds
+	default:
+		t.Fatalf("condition %s settled %v offline; want holds or violated", name, flipped.State)
+	}
+	r.offline[name] = flipped
+	err := r.compare()
+	if err == nil {
+		t.Fatalf("comparator accepted the flipped verdict of %s", name)
+	}
+	if !strings.Contains(err.Error(), name+"=") {
+		t.Errorf("divergence report does not name %s: %v", name, err)
 	}
 }
 
 // FuzzIncrementalSnapshotAgreement lets the fuzzer search the workload
-// space (pattern × size × seed) for any divergence between the incremental
-// and legacy paths.
+// space (pattern × size × seed) for any divergence between the online
+// monitor and its offline oracle.
 func FuzzIncrementalSnapshotAgreement(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(4), uint8(3))
 	f.Add(int64(7), uint8(5), uint8(3), uint8(2))

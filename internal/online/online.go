@@ -22,9 +22,12 @@
 // NumReal(i) − firstFollower + 1 for any snapshot whose prefix contains the
 // follower, so snapshots derive reverse timestamps on demand instead of
 // paying the O(|E|·|P|) two-pass rebuild of vclock.New — the amortized
-// snapshot cost is O(|P|) per appended event (DESIGN.md S25). The legacy
-// full-rebuild path is retained behind SetLegacySnapshots as the
-// differential oracle.
+// snapshot cost is O(|P|) per appended event (DESIGN.md S25).
+//
+// There is one snapshot path and one check loop. Their differential oracle
+// is independent offline code: the offline monitor over a cold
+// Builder.Build of the same prefix, with clocks checked against vclock.New
+// (TestIncrementalSnapshotAgreement).
 package online
 
 import (
@@ -91,8 +94,7 @@ type Stream struct {
 	base []int
 	pins map[poset.EventID]int
 
-	legacy   bool           // full-rebuild snapshots (the differential oracle)
-	prev     *core.Analysis // previous incremental snapshot, for cache carry
+	prev     *core.Analysis // previous snapshot, for cache carry
 	metDirty bool           // Instrument was called since prev was built
 
 	snap *Snapshot // cached; nil when dirty
@@ -133,10 +135,8 @@ func (s *Stream) NumProcs() int { return s.procs }
 // The registry receives online.events (appended events, across all kinds),
 // the online.event_window sliding window (the live events/sec rate), and
 // three snapshot counters: online.snapshots counts snapshot *constructions*
-// (on the default incremental path these are cheap copy-on-grow views with
-// carried caches, so a high snapshots/events ratio is no longer the red
-// flag it was when every construction paid a full reverse-timestamp pass —
-// it now flags cache-carry churn, not rebuild cost), online.snapshot_reuses
+// (cheap copy-on-grow views with carried caches, so a high snapshots/events
+// ratio flags cache-carry churn, not rebuild cost), online.snapshot_reuses
 // counts Snapshot calls served from the cache unchanged, and
 // online.snapshot_rebuilds counts the constructions (online.snapshots and
 // online.snapshot_rebuilds agree; the latter exists so dashboards can pair
@@ -157,25 +157,6 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.metCompacted = reg.Counter("online.compacted_events")
 	s.metRetained = reg.Gauge("online.retained_events")
 	s.metDirty = true
-}
-
-// SetLegacySnapshots switches the stream to (or back from) the legacy
-// snapshot path: a full Builder.Build deep copy plus a cold core.NewAnalysis
-// with its O(|E|·|P|) reverse-timestamp pass per snapshot. The incremental
-// path is the default; the legacy path is kept as the differential oracle
-// the agreement tests and the E14 sweep compare against. Switching resets
-// the snapshot cache and the cache-carry chain.
-func (s *Stream) SetLegacySnapshots(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on && s.compactedAny() {
-		// The legacy path deep-copies via Builder.Build, which a compacted
-		// builder refuses; switching after compaction is a programming error.
-		panic("online: legacy snapshots are unavailable after compaction")
-	}
-	s.legacy = on
-	s.snap = nil
-	s.prev = nil
 }
 
 // Local records an internal event on proc and returns it.
@@ -356,12 +337,10 @@ type Snapshot struct {
 }
 
 // Snapshot returns the current frozen view, cached until the next append.
-// On the default incremental path the view is copy-on-grow (the message log
-// is shared with the builder, capacity-clamped), reverse timestamps are
-// derived on demand from the first-follower index, and the analysis carries
-// the epoch-stable cut caches of the previous snapshot forward. On the
-// legacy path (SetLegacySnapshots) every call deep-copies the execution and
-// recomputes both clock tables. Either way the returned snapshot is immune
+// The view is copy-on-grow (the message log is shared with the builder,
+// capacity-clamped), reverse timestamps are derived on demand from the
+// first-follower index, and the analysis carries the epoch-stable cut
+// caches of the previous snapshot forward. The returned snapshot is immune
 // to later appends.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
@@ -370,27 +349,15 @@ func (s *Stream) Snapshot() *Snapshot {
 		s.metSnapReuses.Add(1)
 		return s.snap
 	}
-	if s.legacy {
-		ex, err := s.b.Build()
-		if err != nil {
-			// Stream appends cannot create cycles (edges only target fresh
-			// events); reaching here indicates corruption.
-			panic(err)
-		}
-		a := core.NewAnalysis(ex)
-		a.Instrument(s.metReg, s.metTracer)
-		s.snap = &Snapshot{Exec: ex, Analysis: a}
-	} else {
-		s.snap = s.incrementalSnapshot()
-	}
+	s.snap = s.buildSnapshot()
 	s.metSnapshots.Add(1)
 	s.metSnapRebuilds.Add(1)
 	return s.snap
 }
 
-// incrementalSnapshot builds a snapshot without copying the execution or
+// buildSnapshot builds a snapshot without copying the execution or
 // rebuilding clock tables. Caller holds the lock.
-func (s *Stream) incrementalSnapshot() *Snapshot {
+func (s *Stream) buildSnapshot() *Snapshot {
 	ex, err := s.b.View()
 	if err != nil {
 		// Stream appends follow the fresh-sink discipline (messages only
@@ -488,9 +455,8 @@ func ReplaySteps(ex *poset.Execution, step func(s *Stream, e poset.EventID) erro
 }
 
 // ReplayStepsOn is ReplaySteps onto a caller-supplied empty stream, so the
-// stream can be configured (instrumented, switched to legacy snapshots)
-// before the replay starts — the differential tests replay one execution
-// onto an incremental and a legacy stream and require identical verdicts.
+// stream can be configured (instrumented, given a monitor with retention)
+// before the replay starts.
 func ReplayStepsOn(s *Stream, ex *poset.Execution, step func(s *Stream, e poset.EventID) error) (*Stream, error) {
 	return replayOn(s, ex, step, false)
 }

@@ -52,16 +52,12 @@ type RetentionPolicy struct {
 }
 
 // SetRetention enables retention under the given policy. It is incompatible
-// with the legacy check loop (whose snapshots deep-copy via Build, which
-// compacted builders refuse) and with explanation capture (critical-path
-// walks revisit history the watermark may have dropped). At least one of
-// MaxEvents / MaxAge must be positive.
+// with explanation capture (critical-path walks revisit history the
+// watermark may have dropped). At least one of MaxEvents / MaxAge must be
+// positive.
 func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.legacy {
-		return errors.New("online: retention is incompatible with the legacy check loop")
-	}
 	if m.explainOn {
 		return errors.New("online: retention is incompatible with explanation capture")
 	}
@@ -134,19 +130,7 @@ func (m *Monitor) RetentionStats() RetentionStats {
 func (m *Monitor) Poll() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var t0 time.Time
-	if m.checkWin != nil {
-		t0 = time.Now()
-	}
-	if m.legacy {
-		m.checkLegacyLocked()
-	} else {
-		m.checkIncrementalLocked()
-	}
-	if m.checkWin != nil {
-		m.checkWin.Observe(time.Since(t0).Nanoseconds())
-	}
-	m.maybeRetainLocked()
+	m.drainLocked()
 	out := m.newResults
 	m.newResults = nil
 	return out
@@ -316,8 +300,9 @@ func (m *Monitor) appraiseLocked(total int) {
 	}
 	applied, _, err := m.stream.Compact(w)
 	if err != nil {
-		// Only reachable by switching the stream to legacy snapshots after
-		// enabling retention; surface it rather than wedge the monitor.
+		// Compact only rejects a watermark of the wrong width, and w is
+		// sized from the stream itself; should that ever change, surface the
+		// error rather than wedge the monitor.
 		m.lg.Error("compaction_failed", logx.F("err", err))
 		return
 	}

@@ -378,29 +378,14 @@ func TestRetentionBoundsMemory(t *testing.T) {
 		maxRetained, st.Retained, int64(m1.HeapAlloc)-int64(m0.HeapAlloc), st)
 }
 
-// TestRetentionModeConflicts pins the mutual exclusions: retention refuses
-// to coexist with the legacy oracle and with explanation capture, in both
-// enabling orders, and an all-zero policy is rejected.
+// TestRetentionModeConflicts pins the remaining mutual exclusion: retention
+// refuses to coexist with explanation capture, in both enabling orders, and
+// an all-zero policy is rejected.
 func TestRetentionModeConflicts(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-
 	m := NewMonitor(NewStream(2))
 	if err := m.SetRetention(RetentionPolicy{}); err == nil {
 		t.Error("SetRetention with no window succeeded")
 	}
-	m.SetLegacy(true)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err == nil {
-		t.Error("SetRetention on a legacy monitor succeeded")
-	}
-	m.SetLegacy(false)
 	m.EnableExplanations(true)
 	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err == nil {
 		t.Error("SetRetention with explanations on succeeded")
@@ -409,16 +394,12 @@ func TestRetentionModeConflicts(t *testing.T) {
 	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8}); err != nil {
 		t.Fatalf("SetRetention: %v", err)
 	}
-	mustPanic("SetLegacy(true) under retention", func() { m.SetLegacy(true) })
-	mustPanic("EnableExplanations(true) under retention", func() { m.EnableExplanations(true) })
-
-	// Stream level: the legacy snapshot path and compaction exclude each
-	// other in both orders too.
-	s := NewStream(2)
-	s.SetLegacySnapshots(true)
-	if _, _, err := s.Compact([]int{0, 0}); err == nil {
-		t.Error("Compact on a legacy stream succeeded")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EnableExplanations(true) under retention did not panic")
+		}
+	}()
+	m.EnableExplanations(true)
 }
 
 // TestStreamPinClampsWatermark verifies the in-flight send protocol: a
