@@ -155,7 +155,7 @@ func TestDetectionLatencySkipsUnstamped(t *testing.T) {
 	// directly instead: detectLatency over a condition referencing nothing
 	// stamped.
 	m.mu.Lock()
-	lat, ok := m.detectLatency(&monitor.Condition{Name: "ghost", Src: "R1(x, y)", Expr: monitor.MustParse("R1(x, y)")})
+	lat, ok := m.detectLatency(&condRec{refs: []string{"x", "y"}})
 	m.mu.Unlock()
 	if ok || lat != 0 {
 		t.Fatalf("detectLatency of unstamped refs = %v ok=%v, want 0 false", lat, ok)

@@ -16,13 +16,43 @@ import (
 	"causet/internal/poset"
 )
 
-// pendingCond tracks one condition through the interval→conditions readiness
-// index: missing counts the referenced intervals not yet complete; when it
-// reaches zero the condition moves to the ready queue and is evaluated at
-// the next Check.
-type pendingCond struct {
-	c       *monitor.Condition
-	missing int
+// ivRec is the monitor's whole state for one interval name. A record exists
+// while the name is live: growing, complete and retained, or merely
+// referenced by an unsettled condition before its first Observe. Retiring
+// the name deletes the record and leaves only a tombstone key.
+type ivRec struct {
+	events   []poset.EventID
+	observed bool // false while only conditions reference the name
+	complete bool
+	doneAt   time.Time // completion stamp, for detection latency
+
+	// Retention clocks. While the interval grows, seq is the stream
+	// position of its last Observe (the abandonment clock). Once it is
+	// complete, seq and at start the release window: the later of its
+	// completion and the settlement of its last referencing condition.
+	seq int
+	at  time.Time
+
+	refs    int        // unsettled conditions referencing the interval
+	waiting []*condRec // conditions blocked on its completion
+
+	// Inner-monitor state: defined once registered; bad poisons the name
+	// when Define failed (e.g. bogus event IDs), so every condition that
+	// references it settles Failed.
+	defined bool
+	bad     error
+}
+
+// condRec is the monitor's whole state for one registered condition.
+type condRec struct {
+	c       monitor.Condition
+	refs    []string // monitor.Referenced(c.Expr), computed once
+	missing int      // referenced intervals not yet complete
+	settled bool
+	res     monitor.Result
+	seq     int       // settlement stream position (retention only)
+	at      time.Time // settlement time on the monitor clock (retention only)
+	expl    *explain.ConditionExplanation
 }
 
 // Monitor detects synchronization conditions online: nonatomic events grow
@@ -32,39 +62,27 @@ type pendingCond struct {
 // non-pending result of a condition is also its final one; Check memoizes
 // it and never re-evaluates.
 //
-// The check loop is indexed: Complete promotes exactly the conditions it
-// unblocked onto a ready queue, and Check drains that queue against one
-// persistent inner monitor that is rebased onto each new snapshot epoch —
-// conditions are compiled once, intervals are defined once, and cut caches
-// survive across checks. The differential oracle is the offline
-// monitor.Monitor over a cold Builder.Build of the same prefix (see
+// The monitor keeps one record per live interval name and one per
+// condition. Complete promotes exactly the conditions it unblocked onto a
+// ready queue, and Check drains that queue against one persistent inner
+// monitor that is rebased onto each new snapshot epoch: conditions are
+// compiled once, intervals are defined once, and cut caches survive across
+// checks. The differential oracle is the offline monitor.Monitor over a
+// cold Builder.Build of the same prefix (see
 // TestIncrementalSnapshotAgreement).
 type Monitor struct {
 	stream *Stream
 
-	mu         sync.Mutex
-	growing    map[string][]poset.EventID
-	complete   map[string][]poset.EventID
-	conditions []*monitor.Condition
-	settled    map[string]monitor.Result
+	mu     sync.Mutex
+	ivs    map[string]*ivRec
+	conds  []*condRec          // registration order; DropSettled removes entries
+	byName map[string]*condRec // nil value: dropped, the name stays reserved
+	ready  []*condRec          // unblocked, not yet evaluated
+	inner  *monitor.Monitor    // persistent inner monitor, created lazily
 
-	// Readiness index.
-	waiting map[string][]*pendingCond // interval name → conditions blocked on it
-	ready   []*monitor.Condition      // unblocked, not yet evaluated
-
-	// Persistent inner monitor. defined marks interval names already
-	// registered with it; badIv poisons interval names whose Define failed
-	// (e.g. bogus event IDs) so every condition that ever references them
-	// settles Failed.
-	inner   *monitor.Monitor
-	defined map[string]bool
-	badIv   map[string]error
-
-	// Explanation capture (EnableExplanations): settled holds/violated
-	// conditions retain a witness + critical-path explanation derived over
-	// the settling snapshot.
-	explainOn    bool
-	explanations map[string]*explain.ConditionExplanation
+	// explainOn captures a witness and critical-path explanation over the
+	// settling snapshot for every condition that holds or is violated.
+	explainOn bool
 
 	// Detection latency: Complete stamps each interval with nowFn; settle
 	// reports now − max(stamp of referenced intervals) — the lag from the
@@ -72,8 +90,7 @@ type Monitor struct {
 	// the verdict. nowFn is injectable, so timed-trace replays measure in
 	// trace time; the default time.Now carries Go's monotonic reading, the
 	// wall-clock fallback.
-	nowFn       func() time.Time
-	completedAt map[string]time.Time
+	nowFn func() time.Time
 
 	lg             *logx.Logger
 	reg            *obs.Registry
@@ -86,25 +103,16 @@ type Monitor struct {
 	metAbandoned   *obs.Counter
 
 	// Retention (SetRetention; retention.go): bounded-memory mode for
-	// long-running streams. refCount tracks, per interval, how many
-	// unsettled conditions still reference it — maintained even with
-	// retention off so enabling it later starts from accurate counts. The
-	// seq maps stamp stream positions (SetRetention backfills stamps for
-	// state that predates it), retired remembers why a name was released or
-	// abandoned so later operations fail with a clear error, and watermark
+	// long-running streams. Retiring an interval deletes its record and
+	// adds its name to released or abandoned, so later operations on it
+	// fail with a clear error and the name is never reused. watermark
 	// caches the last applied compaction cut so Observe can reject
 	// already-compacted positions without taking the stream lock. Lock
 	// order is m.mu then stream.mu, never the reverse.
 	retention    RetentionPolicy
 	retainOn     bool
-	refCount     map[string]int
-	completedSeq map[string]int
-	observedSeq  map[string]int
-	lastUseSeq   map[string]int
-	lastUseAt    map[string]time.Time
-	settleSeq    map[string]int
-	settleAt     map[string]time.Time
-	retired      map[string]string
+	released     map[string]struct{}
+	abandoned    map[string]struct{}
 	watermark    []int
 	lastAppraise int
 	// newResults accumulates verdicts since the last Poll; Poll returns and
@@ -113,31 +121,16 @@ type Monitor struct {
 	newResults []monitor.Result
 }
 
-// NewMonitor creates an online monitor over the stream.
+// NewMonitor creates an online monitor over the stream, with no intervals,
+// no conditions and retention off.
 func NewMonitor(s *Stream) *Monitor {
 	return &Monitor{
-		stream:   s,
-		growing:  make(map[string][]poset.EventID),
-		complete: make(map[string][]poset.EventID),
-		settled:  make(map[string]monitor.Result),
-
-		waiting: make(map[string][]*pendingCond),
-		defined: make(map[string]bool),
-		badIv:   make(map[string]error),
-
-		explanations: make(map[string]*explain.ConditionExplanation),
-
-		nowFn:       time.Now,
-		completedAt: make(map[string]time.Time),
-
-		refCount:     make(map[string]int),
-		completedSeq: make(map[string]int),
-		observedSeq:  make(map[string]int),
-		lastUseSeq:   make(map[string]int),
-		lastUseAt:    make(map[string]time.Time),
-		settleSeq:    make(map[string]int),
-		settleAt:     make(map[string]time.Time),
-		retired:      make(map[string]string),
+		stream:    s,
+		ivs:       make(map[string]*ivRec),
+		byName:    make(map[string]*condRec),
+		nowFn:     time.Now,
+		released:  make(map[string]struct{}),
+		abandoned: make(map[string]struct{}),
 	}
 }
 
@@ -161,8 +154,10 @@ func (m *Monitor) EnableExplanations(on bool) {
 func (m *Monitor) Explanation(name string) (*explain.ConditionExplanation, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ce, ok := m.explanations[name]
-	return ce, ok
+	if cr := m.byName[name]; cr != nil && cr.expl != nil {
+		return cr.expl, true
+	}
+	return nil, false
 }
 
 // SetLogger attaches a structured event log (may be nil). The monitor
@@ -212,37 +207,47 @@ func (m *Monitor) SetNow(now func() time.Time) {
 }
 
 // settle records the final verdict of a condition; the caller holds m.mu
-// and guarantees the name is not yet settled. This is the single point
-// every verdict passes through, so the settlement log event fires exactly
-// once per condition.
-func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.ConditionExplanation) {
-	m.settled[c.Name] = res
+// and guarantees it is not yet settled. This is the single point every
+// verdict passes through, so the settlement log event fires exactly once
+// per condition.
+func (m *Monitor) settle(cr *condRec, res monitor.Result, ce *explain.ConditionExplanation) {
+	cr.settled, cr.res = true, res
 	m.newResults = append(m.newResults, res)
 	var total int
+	var now time.Time
 	if m.retainOn {
-		total = m.stream.TotalEvents()
-		m.settleSeq[c.Name] = total
-		m.settleAt[c.Name] = m.nowFn()
+		total, now = m.stream.TotalEvents(), m.nowFn()
+		cr.seq, cr.at = total, now
 	}
-	// Release this condition's hold on its referenced intervals; the last
-	// settlement to let go of an interval restarts its retention window, so
-	// a StrongestBetween query issued when the verdict lands still finds
-	// its operands.
-	for _, ref := range monitor.Referenced(c.Expr) {
-		switch n := m.refCount[ref]; {
-		case n > 1:
-			m.refCount[ref] = n - 1
-		case n == 1:
-			delete(m.refCount, ref)
-			if m.retainOn {
-				m.lastUseSeq[ref] = total
-				m.lastUseAt[ref] = m.nowFn()
+	// Release this condition's hold on its referenced intervals. An interval
+	// nobody else waits on drops its settled waiters; one that was only ever
+	// referenced has nothing left to keep; and for a complete one the last
+	// settlement to let go restarts its retention window, so a
+	// StrongestBetween query issued when the verdict lands still finds its
+	// operands.
+	for _, name := range cr.refs {
+		rec := m.ivs[name]
+		if rec == nil {
+			continue
+		}
+		if rec.refs--; rec.refs > 0 {
+			continue
+		}
+		switch {
+		case !rec.observed:
+			delete(m.ivs, name)
+		case !rec.complete:
+			rec.waiting = nil
+		case m.retainOn:
+			rec.seq = total
+			if now.After(rec.at) {
+				rec.at = now
 			}
 		}
 	}
 	if ce != nil {
 		ce.State = res.State.String()
-		m.explanations[c.Name] = ce
+		cr.expl = ce
 	}
 	m.metSettlements.Inc()
 	if res.State == monitor.Violated {
@@ -255,19 +260,21 @@ func (m *Monitor) settle(c *monitor.Condition, res monitor.Result, ce *explain.C
 	var latency time.Duration
 	haveLatency := false
 	if res.State != monitor.Failed {
-		latency, haveLatency = m.detectLatency(c)
+		latency, haveLatency = m.detectLatency(cr)
 	}
 	if haveLatency {
 		m.detectWin.Observe(int64(latency))
 		m.detectHist.Observe(int64(latency))
-		m.reg.Gauge("online.detect_latency.cond." + c.Name).Set(int64(latency))
+		if m.reg != nil {
+			m.reg.Gauge("online.detect_latency.cond." + cr.c.Name).Set(int64(latency))
+		}
 	}
 	if m.lg == nil {
 		return
 	}
 	fields := []logx.Field{
-		logx.F("condition", c.Name),
-		logx.F("src", c.Src),
+		logx.F("condition", cr.c.Name),
+		logx.F("src", cr.c.Src),
 		logx.F("state", res.State.String()),
 	}
 	if haveLatency {
@@ -297,10 +304,12 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[name]; gone {
-		return retiredErr(name, why)
-	}
-	if _, done := m.complete[name]; done {
+	rec := m.ivs[name]
+	if rec == nil {
+		if err := m.retiredErrLocked(name); err != nil {
+			return err
+		}
+	} else if rec.complete {
 		return fmt.Errorf("online: interval %q is already complete", name)
 	}
 	if m.watermark != nil {
@@ -311,12 +320,19 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 			}
 		}
 	}
-	m.growing[name] = append(m.growing[name], events...)
-	m.lg.Debug("interval_observe",
-		logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(m.growing[name])))
+	if rec == nil {
+		rec = &ivRec{}
+		m.ivs[name] = rec
+	}
+	rec.observed = true
+	rec.events = append(rec.events, events...)
+	if m.lg.Enabled(logx.Debug) {
+		m.lg.Debug("interval_observe",
+			logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(rec.events)))
+	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
-		m.observedSeq[name] = total
+		rec.seq = total
 		if total-m.lastAppraise >= m.retention.Every {
 			m.appraiseLocked(total)
 		}
@@ -331,31 +347,33 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 func (m *Monitor) Complete(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[name]; gone {
-		return retiredErr(name, why)
-	}
-	events, ok := m.growing[name]
-	if !ok {
+	rec := m.ivs[name]
+	switch {
+	case rec == nil || !rec.observed:
+		if err := m.retiredErrLocked(name); err != nil {
+			return err
+		}
 		return fmt.Errorf("online: interval %q was never observed", name)
-	}
-	if len(events) == 0 {
+	case rec.complete:
+		return fmt.Errorf("online: interval %q is already complete", name)
+	case len(rec.events) == 0:
 		return fmt.Errorf("online: interval %q has no events", name)
 	}
-	delete(m.growing, name)
-	m.complete[name] = events
-	m.completedAt[name] = m.nowFn()
-	for _, pc := range m.waiting[name] {
-		pc.missing--
-		if pc.missing == 0 {
-			m.ready = append(m.ready, pc.c)
+	rec.complete = true
+	rec.doneAt = m.nowFn()
+	rec.at = rec.doneAt
+	for _, cr := range rec.waiting {
+		if cr.missing--; cr.missing == 0 && !cr.settled {
+			m.ready = append(m.ready, cr)
 		}
 	}
-	delete(m.waiting, name)
-	m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(events)))
+	rec.waiting = nil
+	if m.lg.Enabled(logx.Info) {
+		m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(rec.events)))
+	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
-		m.completedSeq[name] = total
-		delete(m.observedSeq, name)
+		rec.seq = total
 		if total-m.lastAppraise >= m.retention.Every {
 			m.appraiseLocked(total)
 		}
@@ -370,11 +388,11 @@ func (m *Monitor) Complete(name string) error {
 // interval carries a stamp (e.g. a parse failure settled the condition
 // before anything completed). Caller holds m.mu. Negative lags (a virtual
 // clock stepping backwards) clamp to zero.
-func (m *Monitor) detectLatency(c *monitor.Condition) (time.Duration, bool) {
+func (m *Monitor) detectLatency(cr *condRec) (time.Duration, bool) {
 	var decisive time.Time
-	for _, ref := range monitor.Referenced(c.Expr) {
-		if t, ok := m.completedAt[ref]; ok && t.After(decisive) {
-			decisive = t
+	for _, name := range cr.refs {
+		if rec := m.ivs[name]; rec != nil && rec.doneAt.After(decisive) {
+			decisive = rec.doneAt
 		}
 	}
 	if decisive.IsZero() {
@@ -389,6 +407,8 @@ func (m *Monitor) detectLatency(c *monitor.Condition) (time.Duration, bool) {
 
 // AddCondition parses and registers a condition in the monitor DSL. The
 // source is compiled exactly once, here; checks reuse the parsed expression.
+// The condition waits on each referenced interval not yet complete, or goes
+// straight to the ready queue when there is nothing to wait for.
 func (m *Monitor) AddCondition(name, src string) error {
 	expr, err := monitor.Parse(src)
 	if err != nil {
@@ -396,48 +416,40 @@ func (m *Monitor) AddCondition(name, src string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range m.conditions {
-		if c.Name == name {
-			return fmt.Errorf("online: condition %q already defined", name)
-		}
-	}
-	// DropSettled may have purged the compiled condition from m.conditions;
-	// the verdict tombstone still blocks the name from being reused.
-	if _, done := m.settled[name]; done {
+	// A dropped condition leaves a nil entry, which still reserves the name.
+	if _, dup := m.byName[name]; dup {
 		return fmt.Errorf("online: condition %q already defined", name)
 	}
-	c := &monitor.Condition{Name: name, Src: src, Expr: expr}
-	m.conditions = append(m.conditions, c)
-	for _, ref := range monitor.Referenced(c.Expr) {
-		m.refCount[ref]++
-	}
+	cr := &condRec{c: monitor.Condition{Name: name, Src: src, Expr: expr}}
+	m.conds = append(m.conds, cr)
+	m.byName[name] = cr
+	refs := monitor.Referenced(expr)
 	// A reference to a retired interval can never be satisfied: settle now
-	// (which also gives the refcounts back) instead of waiting forever.
-	for _, ref := range monitor.Referenced(c.Expr) {
-		if why, gone := m.retired[ref]; gone {
-			m.settle(c, monitor.Result{Name: name, State: monitor.Failed, Err: retiredErr(ref, why)}, nil)
+	// instead of waiting forever. cr.refs stays nil, since the condition
+	// never held its intervals.
+	for _, ref := range refs {
+		if err := m.retiredErrLocked(ref); err != nil {
+			m.settle(cr, monitor.Result{Name: name, State: monitor.Failed, Err: err}, nil)
 			return nil
 		}
 	}
-	m.indexLocked(c)
-	return nil
-}
-
-// indexLocked registers a new condition with the readiness index: it waits
-// on each referenced interval not yet complete, or goes straight to the
-// ready queue when there is nothing to wait for.
-func (m *Monitor) indexLocked(c *monitor.Condition) {
-	pc := &pendingCond{c: c}
-	for _, ref := range monitor.Referenced(c.Expr) {
-		if _, done := m.complete[ref]; done {
-			continue
+	cr.refs = refs
+	for _, ref := range refs {
+		rec := m.ivs[ref]
+		if rec == nil {
+			rec = &ivRec{}
+			m.ivs[ref] = rec
 		}
-		pc.missing++
-		m.waiting[ref] = append(m.waiting[ref], pc)
+		rec.refs++
+		if !rec.complete {
+			cr.missing++
+			rec.waiting = append(rec.waiting, cr)
+		}
 	}
-	if pc.missing == 0 {
-		m.ready = append(m.ready, c)
+	if cr.missing == 0 {
+		m.ready = append(m.ready, cr)
 	}
+	return nil
 }
 
 // Check evaluates all conditions against the current stream prefix and
@@ -450,12 +462,12 @@ func (m *Monitor) Check() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.drainLocked()
-	out := make([]monitor.Result, 0, len(m.conditions))
-	for _, c := range m.conditions {
-		if res, done := m.settled[c.Name]; done {
-			out = append(out, res)
+	out := make([]monitor.Result, 0, len(m.conds))
+	for _, cr := range m.conds {
+		if cr.settled {
+			out = append(out, cr.res)
 		} else {
-			out = append(out, monitor.Result{Name: c.Name, State: monitor.Pending})
+			out = append(out, monitor.Result{Name: cr.c.Name, State: monitor.Pending})
 		}
 	}
 	m.newResults = nil
@@ -488,7 +500,6 @@ func (m *Monitor) ensureInnerLocked() {
 	switch {
 	case m.inner == nil:
 		m.inner = monitor.NewWithAnalysis(snap.Analysis)
-		m.defined = make(map[string]bool)
 	case m.inner.Analysis() != snap.Analysis:
 		if err := m.inner.Rebase(snap.Analysis); err != nil {
 			panic(fmt.Sprintf("online: snapshot lineage broken: %v", err))
@@ -500,18 +511,18 @@ func (m *Monitor) ensureInnerLocked() {
 // monitor, once. A Define failure (bogus event IDs) poisons the name: the
 // error is recorded and returned to every later reference, so each
 // condition touching the interval settles Failed.
-func (m *Monitor) defineLocked(name string) error {
-	if err, bad := m.badIv[name]; bad {
-		return err
+func (m *Monitor) defineLocked(name string, rec *ivRec) error {
+	if rec.bad != nil {
+		return rec.bad
 	}
-	if m.defined[name] {
+	if rec.defined {
 		return nil
 	}
-	if err := m.inner.Define(name, m.complete[name]); err != nil {
-		m.badIv[name] = err
+	if err := m.inner.Define(name, rec.events); err != nil {
+		rec.bad = err
 		return err
 	}
-	m.defined[name] = true
+	rec.defined = true
 	return nil
 }
 
@@ -527,27 +538,28 @@ func (m *Monitor) checkReadyLocked() {
 	todo := m.ready
 	m.ready = nil
 	m.ensureInnerLocked()
-	for _, c := range todo {
-		if _, done := m.settled[c.Name]; done {
+	for _, cr := range todo {
+		if cr.settled {
 			continue
 		}
 		var defErr error
-		for _, ref := range monitor.Referenced(c.Expr) {
-			if err := m.defineLocked(ref); err != nil {
-				defErr = err
+		for _, ref := range cr.refs {
+			// A ready, unsettled condition holds a reference on each of its
+			// complete intervals, so none has been released.
+			if defErr = m.defineLocked(ref, m.ivs[ref]); defErr != nil {
 				break
 			}
 		}
 		if defErr != nil {
-			m.settle(c, monitor.Result{Name: c.Name, State: monitor.Failed, Err: defErr}, nil)
+			m.settle(cr, monitor.Result{Name: cr.c.Name, State: monitor.Failed, Err: defErr}, nil)
 			continue
 		}
-		res := m.inner.CheckCondition(c)
+		res := m.inner.CheckCondition(&cr.c)
 		if res.State == monitor.Pending {
 			// Defensive: a ready condition has every reference defined, so
 			// the inner monitor cannot report Pending; if it ever does,
 			// re-queue rather than lose the condition.
-			m.ready = append(m.ready, c)
+			m.ready = append(m.ready, cr)
 			continue
 		}
 		var ce *explain.ConditionExplanation
@@ -555,24 +567,24 @@ func (m *Monitor) checkReadyLocked() {
 			// Best-effort: a condition that evaluated cleanly explains
 			// cleanly too; if not, settle without evidence rather than
 			// failing the verdict.
-			ce = m.explainLocked(c)
+			ce = m.explainLocked(cr)
 		}
-		m.settle(c, res, ce)
+		m.settle(cr, res, ce)
 	}
 }
 
 // explainLocked derives a witness/critical-path explanation for a condition
 // over the persistent inner monitor's current analysis. Caller holds m.mu.
-func (m *Monitor) explainLocked(c *monitor.Condition) *explain.ConditionExplanation {
+func (m *Monitor) explainLocked(cr *condRec) *explain.ConditionExplanation {
 	expl := explain.New(m.inner.Analysis())
 	expl.Instrument(m.reg)
 	ivs := make(map[string]*interval.Interval)
-	for _, ref := range monitor.Referenced(c.Expr) {
+	for _, ref := range cr.refs {
 		if iv, ok := m.inner.Interval(ref); ok {
 			ivs[ref] = iv
 		}
 	}
-	ce, _ := expl.Condition(c, ivs)
+	ce, _ := expl.Condition(&cr.c, ivs)
 	return ce
 }
 
@@ -597,9 +609,11 @@ func witnessSummary(ce *explain.ConditionExplanation) string {
 func (m *Monitor) CompletedIntervals() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.complete))
-	for n := range m.complete {
-		out = append(out, n)
+	out := []string{}
+	for name, rec := range m.ivs {
+		if rec.complete {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -614,23 +628,23 @@ func (m *Monitor) CompletedIntervals() []string {
 func (m *Monitor) StrongestBetween(xName, yName string) ([]core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if why, gone := m.retired[xName]; gone {
-		return nil, retiredErr(xName, why)
+	names := [2]string{xName, yName}
+	for _, name := range names {
+		if err := m.retiredErrLocked(name); err != nil {
+			return nil, err
+		}
 	}
-	if why, gone := m.retired[yName]; gone {
-		return nil, retiredErr(yName, why)
-	}
-	for _, name := range [2]string{xName, yName} {
-		if _, ok := m.complete[name]; !ok {
+	var recs [2]*ivRec
+	for i, name := range names {
+		if recs[i] = m.ivs[name]; recs[i] == nil || !recs[i].complete {
 			return nil, fmt.Errorf("online: interval %q is not complete", name)
 		}
 	}
 	m.ensureInnerLocked()
-	if err := m.defineLocked(xName); err != nil {
-		return nil, err
-	}
-	if err := m.defineLocked(yName); err != nil {
-		return nil, err
+	for i, name := range names {
+		if err := m.defineLocked(name, recs[i]); err != nil {
+			return nil, err
+		}
 	}
 	held, err := m.inner.HeldTable1(xName, yName)
 	if err != nil {

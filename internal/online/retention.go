@@ -40,10 +40,11 @@ type RetentionPolicy struct {
 	AbandonAfter int
 
 	// DropSettled additionally releases the per-condition state (compiled
-	// expression, explanation) of settled conditions once they age out of
-	// the same window. Final verdicts remain queryable forever through the
-	// settled map, but Check stops listing dropped conditions — use Poll,
-	// which reports each verdict exactly once, as the delivery path.
+	// expression, verdict, explanation) of settled conditions once they age
+	// out of the same window. What remains is a tombstone that only reserves
+	// the name, so the condition can never be re-added and settled twice.
+	// Check stops listing dropped conditions — use Poll, which reports each
+	// verdict exactly once, as the delivery path.
 	DropSettled bool
 
 	// Every is the appraisal cadence in appended events (default 256).
@@ -67,21 +68,22 @@ func (m *Monitor) SetRetention(p RetentionPolicy) error {
 	if p.Every <= 0 {
 		p.Every = 256
 	}
+	total := m.stream.TotalEvents()
+	if !m.retainOn {
+		// State that predates retention enters the window now.
+		now := m.nowFn()
+		for _, rec := range m.ivs {
+			rec.seq = total
+		}
+		for _, cr := range m.conds {
+			if cr.settled {
+				cr.seq, cr.at = total, now
+			}
+		}
+	}
 	m.retention = p
 	m.retainOn = true
-	total := m.stream.TotalEvents()
 	m.lastAppraise = total
-	// Intervals completed before retention was enabled enter the window now.
-	for name := range m.complete {
-		if _, ok := m.completedSeq[name]; !ok {
-			m.completedSeq[name] = total
-		}
-	}
-	for name := range m.growing {
-		if _, ok := m.observedSeq[name]; !ok {
-			m.observedSeq[name] = total
-		}
-	}
 	return nil
 }
 
@@ -104,20 +106,21 @@ func (m *Monitor) RetentionStats() RetentionStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := RetentionStats{
-		Enabled:  m.retainOn,
-		Policy:   m.retention,
-		Held:     len(m.complete),
-		Growing:  len(m.growing),
-		Retained: m.stream.RetainedEvents(),
+		Enabled:   m.retainOn,
+		Policy:    m.retention,
+		Released:  len(m.released),
+		Abandoned: len(m.abandoned),
+		Retained:  m.stream.RetainedEvents(),
 	}
 	if m.watermark != nil {
 		st.Watermark = append([]int(nil), m.watermark...)
 	}
-	for _, why := range m.retired {
-		if why == retiredAbandoned {
-			st.Abandoned++
-		} else {
-			st.Released++
+	for _, rec := range m.ivs {
+		switch {
+		case rec.complete:
+			st.Held++
+		case rec.observed:
+			st.Growing++
 		}
 	}
 	return st
@@ -148,13 +151,16 @@ func (m *Monitor) CompactNow() {
 	m.appraiseLocked(m.stream.TotalEvents())
 }
 
-const (
-	retiredReleased  = "released"
-	retiredAbandoned = "abandoned"
-)
-
-// retiredErr renders the error every operation on a retired interval gets.
-func retiredErr(name, why string) error {
+// retiredErrLocked returns the error every operation on a retired interval
+// name gets, or nil if the name was never retired. Caller holds m.mu.
+func (m *Monitor) retiredErrLocked(name string) error {
+	why := "released"
+	if _, ok := m.released[name]; !ok {
+		if _, ok := m.abandoned[name]; !ok {
+			return nil
+		}
+		why = "abandoned"
+	}
 	return fmt.Errorf("online: interval %q was %s by retention", name, why)
 }
 
@@ -195,84 +201,62 @@ func (m *Monitor) appraiseLocked(total int) {
 	// AbandonAfter events will plausibly never complete; evict them and
 	// fail their waiters so the waiters stop pinning memory too.
 	if m.retention.AbandonAfter > 0 {
-		for name, last := range m.observedSeq {
-			if total-last <= m.retention.AbandonAfter {
+		for name, rec := range m.ivs {
+			if !rec.observed || rec.complete || total-rec.seq <= m.retention.AbandonAfter {
 				continue
 			}
-			delete(m.growing, name)
-			delete(m.observedSeq, name)
-			m.retired[name] = retiredAbandoned
+			delete(m.ivs, name)
+			m.abandoned[name] = struct{}{}
 			m.metAbandoned.Add(1)
 			m.lg.Warn("interval_abandoned",
-				logx.F("interval", name), logx.F("idle_events", total-last))
-			err := retiredErr(name, retiredAbandoned)
-			for _, pc := range m.waiting[name] {
-				if _, done := m.settled[pc.c.Name]; !done {
-					m.settle(pc.c, monitor.Result{Name: pc.c.Name, State: monitor.Failed, Err: err}, nil)
+				logx.F("interval", name), logx.F("idle_events", total-rec.seq))
+			err := m.retiredErrLocked(name)
+			for _, cr := range rec.waiting {
+				if !cr.settled {
+					m.settle(cr, monitor.Result{Name: cr.c.Name, State: monitor.Failed, Err: err}, nil)
 				}
 			}
-			delete(m.waiting, name)
 		}
 	}
 
-	// 2. Release settled completed intervals. refCount > 0 means an
-	// unsettled condition still references the interval — its events and
-	// completion stamp must survive (the stamp is what keeps detection-
-	// latency gauges honest for conditions that settle during a compaction
-	// epoch). The window restarts at last use (the final referencing
-	// settlement), so StrongestBetween queried at settlement time always
-	// finds its operands.
-	for name, seq := range m.completedSeq {
-		if m.refCount[name] > 0 {
+	// 2. Release settled completed intervals. refs > 0 means an unsettled
+	// condition still references the interval — its events and completion
+	// stamp must survive (the stamp is what keeps detection-latency gauges
+	// honest for conditions that settle during a compaction epoch). The
+	// window restarts at last use (the final referencing settlement), so
+	// StrongestBetween queried at settlement time always finds its operands.
+	for name, rec := range m.ivs {
+		if !rec.complete || rec.refs > 0 || !m.outOfWindowLocked(total, now, rec.seq, rec.at) {
 			continue
 		}
-		useSeq := seq
-		if u, ok := m.lastUseSeq[name]; ok && u > useSeq {
-			useSeq = u
-		}
-		useAt := m.completedAt[name]
-		if u, ok := m.lastUseAt[name]; ok && u.After(useAt) {
-			useAt = u
-		}
-		if !m.outOfWindowLocked(total, now, useSeq, useAt) {
-			continue
-		}
-		delete(m.complete, name)
-		delete(m.completedSeq, name)
-		delete(m.completedAt, name)
-		delete(m.lastUseSeq, name)
-		delete(m.lastUseAt, name)
-		delete(m.refCount, name)
-		delete(m.defined, name)
-		if m.inner != nil {
+		delete(m.ivs, name)
+		if rec.defined {
 			m.inner.Undefine(name)
 		}
-		m.retired[name] = retiredReleased
+		m.released[name] = struct{}{}
 		m.metReleased.Add(1)
 	}
 
-	// 3. Drop settled condition state (opt-in). The verdict stays in
-	// m.settled — tiny and final — while the compiled expression goes; a
-	// name can therefore never be re-added and re-settled.
+	// 3. Drop settled condition state (opt-in). Only a nil entry in byName
+	// stays, reserving the name; the compiled expression and the verdict go.
 	if m.retention.DropSettled {
-		kept := m.conditions[:0]
-		for _, c := range m.conditions {
-			seq, settled := m.settleSeq[c.Name]
-			if settled && m.outOfWindowLocked(total, now, seq, m.settleAt[c.Name]) {
-				delete(m.settleSeq, c.Name)
-				delete(m.settleAt, c.Name)
-				delete(m.explanations, c.Name)
+		kept := m.conds[:0]
+		for _, cr := range m.conds {
+			if cr.settled && m.outOfWindowLocked(total, now, cr.seq, cr.at) {
+				m.byName[cr.c.Name] = nil
 				// The per-condition latency gauge is minted from the condition
 				// name — unbounded input on a long stream — so it retires with
 				// the condition state, keeping registry (and sampler/tsdb)
 				// cardinality bounded by the window.
-				m.reg.RemoveGauge("online.detect_latency.cond." + c.Name)
+				if m.reg != nil {
+					m.reg.RemoveGauge("online.detect_latency.cond." + cr.c.Name)
+				}
 				continue
 			}
-			kept = append(kept, c)
+			kept = append(kept, cr)
 		}
-		clear(m.conditions[len(kept):])
-		m.conditions = kept
+		clear(m.conds[len(kept):])
+		m.conds = kept
 	}
 
 	// 4. Compact the stream below everything still needed: every retained
@@ -292,11 +276,8 @@ func (m *Monitor) appraiseLocked(total int) {
 			}
 		}
 	}
-	for _, evs := range m.complete {
-		hold(evs)
-	}
-	for _, evs := range m.growing {
-		hold(evs)
+	for _, rec := range m.ivs {
+		hold(rec.events)
 	}
 	applied, _, err := m.stream.Compact(w)
 	if err != nil {
