@@ -59,7 +59,6 @@ import (
 	"causet/internal/hierarchy"
 	"causet/internal/interval"
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 	"causet/internal/trace"
 )
@@ -152,8 +151,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lg.Info("trace_loaded", logx.F("trace", src), logx.F("procs", ex.NumProcs()),
-		logx.F("intervals", len(f.IntervalNames())))
+	if lg != nil {
+		lg.Info("trace_loaded", "trace", src, "procs", ex.NumProcs(), "intervals", len(f.IntervalNames()))
+	}
 	if *list {
 		for _, name := range f.IntervalNames() {
 			fmt.Fprintln(out, name)
@@ -200,17 +200,20 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	lg.Info("eval_start", logx.F("evaluator", *evalName), logx.F("matrix", *matrix),
-		logx.F("workers", workerCount(*parallel)))
+	if lg != nil {
+		lg.Info("eval_start", "evaluator", *evalName, "matrix", *matrix, "workers", workerCount(*parallel))
+	}
 	err = evalMain(out, f, ex, a, eval, eng, expl, tr, modeFlags{
 		xName: *xName, yName: *yName, relName: *relName,
 		all32: *all32, count: *count, strongest: *strongest, matrix: *matrix,
 		evalName: *evalName,
 	})
-	if err != nil {
-		lg.Error("run_complete", logx.F("err", err))
-	} else {
-		lg.Info("run_complete")
+	if lg != nil {
+		if err != nil {
+			lg.Error("run_complete", "err", err)
+		} else {
+			lg.Info("run_complete")
+		}
 	}
 	if tel != nil {
 		now := time.Now()

@@ -76,9 +76,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"strconv"
@@ -95,7 +97,6 @@ import (
 	"causet/internal/obs"
 	"causet/internal/obs/alert"
 	"causet/internal/obs/flight"
-	"causet/internal/obs/logx"
 	"causet/internal/obs/tsdb"
 	"causet/internal/online"
 	"causet/internal/poset"
@@ -286,7 +287,9 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	// Violation bundles carry the telemetry tail and alert history too.
 	fr.Attach(tel.TSDB(), eng)
-	lg.Info("trace_loaded", logx.F("trace", src), logx.F("procs", ex.NumProcs()))
+	if lg != nil {
+		lg.Info("trace_loaded", "trace", src, "procs", ex.NumProcs())
+	}
 
 	ivs, err := f.AllIntervals(ex)
 	if err != nil {
@@ -336,7 +339,9 @@ func run(args []string, out io.Writer) (int, error) {
 			if err := m.DefineInterval(name, iv); err != nil {
 				return exitError, err
 			}
-			lg.Debug("interval_defined", logx.F("interval", name), logx.F("size", iv.Size()))
+			if lg != nil {
+				lg.Debug("interval_defined", "interval", name, "size", iv.Size())
+			}
 		}
 		for _, c := range condPairs {
 			if err := m.AddCondition(c[0], c[1]); err != nil {
@@ -426,27 +431,33 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 	for _, res := range results {
-		fields := []logx.Field{logx.F("condition", res.Name), logx.F("state", res.State.String())}
+		lvl, event := slog.LevelInfo, "condition_settled"
 		switch res.State {
 		case monitor.Holds:
 			fmt.Fprintf(out, "PASS  %s\n", res.Name)
 			explainSettled(res)
-			lg.Info("condition_settled", fields...)
 		case monitor.Violated:
 			fmt.Fprintf(out, "FAIL  %s\n", res.Name)
 			explainSettled(res)
 			violated = append(violated, res.Name)
 			violWin.Observe(1)
-			lg.Warn("condition_settled", fields...)
+			lvl = slog.LevelWarn
 			code = max(code, exitViolation)
 		case monitor.Pending:
 			fmt.Fprintf(out, "SKIP  %s (references undefined intervals)\n", res.Name)
-			lg.Warn("condition_skipped", fields...)
+			lvl, event = slog.LevelWarn, "condition_skipped"
 			code = exitError
 		case monitor.Failed:
 			fmt.Fprintf(out, "ERROR %s: %v\n", res.Name, res.Err)
-			lg.Error("condition_settled", append(fields, logx.F("err", res.Err))...)
+			lvl = slog.LevelError
 			code = exitError
+		}
+		if lg != nil {
+			args := []any{"condition", res.Name, "state", res.State.String()}
+			if res.State == monitor.Failed {
+				args = append(args, "err", res.Err)
+			}
+			lg.Log(context.Background(), lvl, event, args...)
 		}
 	}
 	if view != nil {
@@ -457,10 +468,10 @@ func run(args []string, out io.Writer) (int, error) {
 		rs := om.RetentionStats()
 		fmt.Fprintf(stderrW, "syncmon: retention: retained=%d released=%d abandoned=%d watermark=%v\n",
 			rs.Retained, rs.Released, rs.Abandoned, rs.Watermark)
-		lg.Info("retention_stats",
-			logx.F("retained", rs.Retained), logx.F("released", rs.Released),
-			logx.F("abandoned", rs.Abandoned), logx.F("held", rs.Held),
-			logx.F("growing", rs.Growing))
+		if lg != nil {
+			lg.Info("retention_stats", "retained", rs.Retained, "released", rs.Released,
+				"abandoned", rs.Abandoned, "held", rs.Held, "growing", rs.Growing)
+		}
 	}
 	if fr != nil && len(violated) > 0 {
 		reason := "violation: " + strings.Join(violated, ", ")
@@ -479,7 +490,9 @@ func run(args []string, out io.Writer) (int, error) {
 			return exitError, derr
 		}
 	}
-	lg.Info("run_complete", logx.F("conditions", len(results)), logx.F("exit_code", code))
+	if lg != nil {
+		lg.Info("run_complete", "conditions", len(results), "exit_code", code)
+	}
 	if err := cliutil.FlushObs(reg, tr, *metricsOut, *traceOut, stderrW); err != nil {
 		return exitError, err
 	}

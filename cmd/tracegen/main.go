@@ -26,7 +26,6 @@ import (
 	"causet/internal/buildinfo"
 	"causet/internal/cliutil"
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 	"causet/internal/rt"
 	"causet/internal/sim"
@@ -94,11 +93,14 @@ func run(args []string, out io.Writer) error {
 	})
 	genSpan.End()
 	if err != nil {
-		lg.Error("generate_failed", logx.F("pattern", p.String()), logx.F("err", err))
+		if lg != nil {
+			lg.Error("generate_failed", "pattern", p.String(), "err", err)
+		}
 		return err
 	}
-	lg.Info("trace_generated", logx.F("pattern", p.String()), logx.F("procs", *procs),
-		logx.F("seed", *seed))
+	if lg != nil {
+		lg.Info("trace_generated", "pattern", p.String(), "procs", *procs, "seed", *seed)
+	}
 
 	named := make(map[string][]poset.EventID, len(res.Phases))
 	for _, ph := range res.Phases {
@@ -118,7 +120,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lg.Info("trace_saved", logx.F("path", *output))
+	if lg != nil {
+		lg.Info("trace_saved", "path", *output)
+	}
 
 	st := res.Exec.Stats()
 	reg.Counter("tracegen.events").Add(int64(st.Events))

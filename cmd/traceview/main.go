@@ -31,7 +31,6 @@ import (
 	"causet/internal/explain"
 	"causet/internal/monitor"
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 	"causet/internal/render"
 	"causet/internal/trace"
@@ -99,8 +98,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lg.Info("trace_loaded", logx.F("trace", *path), logx.F("procs", ex.NumProcs()),
-		logx.F("intervals", len(f.IntervalNames())))
+	if lg != nil {
+		lg.Info("trace_loaded", "trace", *path, "procs", ex.NumProcs(), "intervals", len(f.IntervalNames()))
+	}
 	// newAnalysis is shared by the three rendering paths so each cut build
 	// lands in the same registry and tracer.
 	newAnalysis := func() *core.Analysis {

@@ -8,12 +8,14 @@ package cliutil
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
 	"os"
+	"strings"
 	"time"
 
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/obs/tsdb"
 )
 
@@ -32,14 +34,14 @@ func AddLogFlags(fs *flag.FlagSet) *LogFlags {
 }
 
 // Build constructs the logger the flags describe. The logger is nil when
-// -log was not given (logx methods are nil-safe, so callers log
-// unconditionally); close releases the log file and must run after the last
-// log call. stderr is the writer "-log -" selects.
-func (lf *LogFlags) Build(stderr io.Writer) (lg *logx.Logger, close func(), err error) {
+// -log was not given, and a nil logger means logging is off, so callers
+// guard their log calls with a nil check; close releases the log file and
+// must run after the last log call. stderr is the writer "-log -" selects.
+func (lf *LogFlags) Build(stderr io.Writer) (lg *slog.Logger, close func(), err error) {
 	if *lf.out == "" {
 		return nil, func() {}, nil
 	}
-	lvl, err := logx.ParseLevel(*lf.level)
+	lvl, err := ParseLevel(*lf.level)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,7 +55,24 @@ func (lf *LogFlags) Build(stderr io.Writer) (lg *logx.Logger, close func(), err 
 		w = f
 		close = func() { f.Close() }
 	}
-	return logx.New(w, lvl), close, nil
+	return obs.NewLogger(w, lvl), close, nil
+}
+
+// ParseLevel maps a -log-level flag value to a level. It is
+// case-insensitive, ignores surrounding space, and accepts "warning" for
+// warn, which slog.Level.UnmarshalText rejects.
+func ParseLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
+	}
+	return slog.LevelDebug, fmt.Errorf("cliutil: unknown level %q (want debug|info|warn|error)", s)
 }
 
 // SampleFlags carries the shared -sample-interval / -tsdb-out flag values.
@@ -89,14 +108,9 @@ type Telemetry struct {
 
 // NewTelemetry builds a store and a sampler over reg at the given cadence
 // without starting the sampling goroutine — wire Sampler.AfterSample (the
-// alert engine's evaluation hook) first, then call Start. The store is
-// capped at 4096 series so a long-running session whose instrument names
-// churn (per-condition gauges under a retention policy) keeps the store
-// bounded: far above any steady-state instrument count, and the stalest
-// series — always a vanished instrument under a live sampler — is the one
-// evicted.
+// alert engine's evaluation hook) first, then call Start.
 func NewTelemetry(reg *obs.Registry, interval time.Duration) *Telemetry {
-	st := tsdb.NewStore(tsdb.Options{MaxSeries: 4096})
+	st := tsdb.NewStore(tsdb.Options{})
 	return &Telemetry{Store: st, Sampler: tsdb.NewSampler(reg, st, interval)}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,6 +71,22 @@ func TestLogFlagsBuild(t *testing.T) {
 	}
 	if _, _, err := lf.Build(os.Stderr); err == nil {
 		t.Error("bad -log-level accepted")
+	}
+}
+
+func TestParseLevel(t *testing.T) {
+	for s, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, " error ": slog.LevelError,
+	} {
+		got, err := ParseLevel(s)
+		if err != nil || got != want {
+			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
+		}
+	}
+	_, err := ParseLevel("loud")
+	if want := `unknown level "loud" (want debug|info|warn|error)`; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("ParseLevel(loud) error = %v, want one ending %q", err, want)
 	}
 }
 

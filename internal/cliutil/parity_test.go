@@ -41,7 +41,8 @@ func cmdSources(t *testing.T) map[string]string {
 // TestCmdFlagParity source-scans cmd/ and pins the shared-helper contract:
 // the observability flags are registered through cliutil everywhere they
 // exist, so the six commands cannot drift apart in flag names, defaults, or
-// usage strings.
+// usage strings, and no command builds its own slog handler, so the log
+// line format stays behind obs.NewLogger.
 func TestCmdFlagParity(t *testing.T) {
 	srcs := cmdSources(t)
 	for _, want := range []string{"benchdiff", "benchtab", "relcheck", "syncmon", "tracegen", "traceview"} {
@@ -77,6 +78,7 @@ func TestCmdFlagParity(t *testing.T) {
 			`fs.String("log"`, `fs.String("log-level"`,
 			`fs.Duration("sample-interval"`, `fs.String("tsdb-out"`,
 			"func flushObs(",
+			"slog.NewJSONHandler(", "slog.New(",
 		} {
 			if strings.Contains(src, banned) {
 				t.Errorf("cmd/%s contains %q — use the cliutil helper instead", cmd, banned)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"expvar"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/obs/tsdb"
 )
 
@@ -158,7 +158,7 @@ func TestNilEngineSafe(t *testing.T) {
 
 func TestLogSink(t *testing.T) {
 	var buf bytes.Buffer
-	s := &LogSink{Log: logx.New(&buf, logx.Debug)}
+	s := &LogSink{Log: obs.NewLogger(&buf, slog.LevelDebug)}
 	s.Emit(Event{Rule: "hot", Severity: "critical", State: "firing", Expr: "x > 1", AtNS: 42})
 	s.Emit(Event{Rule: "meh", Severity: "info", State: "resolved", Expr: "y > 1", AtNS: 43})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

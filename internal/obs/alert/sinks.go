@@ -2,39 +2,40 @@ package alert
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"expvar"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
-
-	"causet/internal/obs/logx"
 )
 
 // LogSink writes transitions to a structured logger as "alert" events,
 // mapping severity to the log level (info→Info, warn→Warn,
-// critical→Error). A nil logger makes the sink a no-op, matching logx.
+// critical→Error). A nil logger makes the sink a no-op.
 type LogSink struct {
-	Log *logx.Logger
+	Log *slog.Logger
 }
 
 // Emit implements Sink.
 func (s *LogSink) Emit(ev Event) {
-	fields := []logx.Field{
-		logx.F("rule", ev.Rule),
-		logx.F("severity", ev.Severity),
-		logx.F("state", ev.State),
-		logx.F("expr", ev.Expr),
-		logx.F("at_ns", ev.AtNS),
+	if s.Log == nil {
+		return
 	}
+	lvl := slog.LevelWarn
 	switch ev.Severity {
 	case "critical":
-		s.Log.Error("alert", fields...)
+		lvl = slog.LevelError
 	case "info":
-		s.Log.Info("alert", fields...)
-	default:
-		s.Log.Warn("alert", fields...)
+		lvl = slog.LevelInfo
 	}
+	s.Log.LogAttrs(context.TODO(), lvl, "alert",
+		slog.String("rule", ev.Rule),
+		slog.String("severity", ev.Severity),
+		slog.String("state", ev.State),
+		slog.String("expr", ev.Expr),
+		slog.Int64("at_ns", ev.AtNS))
 }
 
 // ExpvarSink publishes the latest transition per rule under one expvar

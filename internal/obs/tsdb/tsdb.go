@@ -10,8 +10,10 @@
 // the slowly-moving counters and gauges a sampler produces (timestamps at a
 // fixed cadence delta-encode to ~2 bytes; a flat counter's value delta is 1
 // byte). When a series exceeds its chunk budget the oldest chunk is evicted
-// whole and accounted in Dropped — the store is bounded by construction, so
-// a sampler left running for a week cannot grow the process.
+// whole and accounted in Dropped. The series count is the sampled
+// registry's instrument count, and no instrument name is minted from
+// stream input, so the store is bounded by construction: a sampler left
+// running for a week cannot grow the process.
 //
 // Writes take one store-level mutex (the sampler is the only steady-state
 // writer, at human cadences); queries decode on read. The query layer
@@ -65,15 +67,6 @@ type Options struct {
 	// MaxChunks is the number of chunks retained per series (default 8, so
 	// the default series holds the last 960 samples).
 	MaxChunks int
-	// MaxSeries caps the number of live series (0 = unlimited). Without a
-	// cap, the per-series bound above is not a store bound: series names
-	// minted from unbounded input — the online monitor's per-condition
-	// gauges on a long stream — grow the map one retired name at a time.
-	// When a new name would exceed the cap, the stalest series (oldest most
-	// recent sample) is evicted whole; under a live sampler every current
-	// instrument is re-appended each tick, so the stalest series is always
-	// one whose instrument vanished from the registry.
-	MaxSeries int
 }
 
 func (o *Options) defaults() {
@@ -174,9 +167,6 @@ func (st *Store) Append(name string, kind Kind, at time.Time, v int64) {
 	defer st.mu.Unlock()
 	s, ok := st.series[name]
 	if !ok {
-		if st.opts.MaxSeries > 0 && len(st.series) >= st.opts.MaxSeries {
-			st.evictStalestLocked()
-		}
 		s = &series{kind: kind}
 		st.series[name] = s
 	}
@@ -188,26 +178,6 @@ func (st *Store) Append(name string, kind Kind, at time.Time, v int64) {
 		}
 	}
 	s.chunks[len(s.chunks)-1].append(t, v)
-}
-
-// evictStalestLocked removes the series whose most recent sample is oldest,
-// making room for a new name under Options.MaxSeries. Caller holds st.mu.
-func (st *Store) evictStalestLocked() {
-	var victim string
-	var victimT int64
-	first := true
-	for name, s := range st.series {
-		var last int64
-		if n := len(s.chunks); n > 0 {
-			last = s.chunks[n-1].lastT
-		}
-		if first || last < victimT {
-			victim, victimT, first = name, last, false
-		}
-	}
-	if !first {
-		delete(st.series, victim)
-	}
 }
 
 // Names returns the sorted series names.

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -200,46 +199,4 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-readerDone
-}
-
-func TestMaxSeriesEvictsStalest(t *testing.T) {
-	st := NewStore(Options{ChunkPoints: 4, MaxChunks: 2, MaxSeries: 3})
-	base := time.Unix(100, 0)
-	// Three series, "a" written longest ago.
-	st.Append("a", KindGauge, base, 1)
-	st.Append("b", KindGauge, base.Add(1*time.Second), 1)
-	st.Append("c", KindGauge, base.Add(2*time.Second), 1)
-	// A fourth name evicts the stalest ("a"), not the newest.
-	st.Append("d", KindGauge, base.Add(3*time.Second), 1)
-	names := st.Names()
-	if len(names) != 3 {
-		t.Fatalf("series count after eviction = %d (%v), want 3", len(names), names)
-	}
-	if _, ok := st.Kind("a"); ok {
-		t.Error("stalest series 'a' should have been evicted")
-	}
-	for _, want := range []string{"b", "c", "d"} {
-		if _, ok := st.Kind(want); !ok {
-			t.Errorf("series %q should have survived", want)
-		}
-	}
-	// Re-appending an evicted name starts a fresh series and evicts "b".
-	st.Append("a", KindGauge, base.Add(4*time.Second), 9)
-	if _, ok := st.Kind("b"); ok {
-		t.Error("series 'b' should be evicted by the returning 'a'")
-	}
-	if pts := st.Query("a", time.Time{}, time.Time{}); len(pts) != 1 || pts[0].V != 9 {
-		t.Errorf("returning series has %v, want the single fresh point", pts)
-	}
-}
-
-func TestMaxSeriesZeroIsUnlimited(t *testing.T) {
-	st := NewStore(Options{})
-	base := time.Unix(100, 0)
-	for i := 0; i < 5000; i++ {
-		st.Append(fmt.Sprintf("s-%d", i), KindGauge, base.Add(time.Duration(i)*time.Second), 1)
-	}
-	if got := len(st.Names()); got != 5000 {
-		t.Errorf("uncapped store holds %d series, want 5000", got)
-	}
 }

@@ -8,7 +8,6 @@ package online_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -193,11 +192,11 @@ func TestDetectionLatencyTable(t *testing.T) {
 
 // TestDetectionLatencyUnderRetention extends the E13 table to retention
 // mode: conditions settling during compaction epochs must record exactly
-// the latency the unbounded monitor records — identical windows and
-// identical per-condition gauges, no fake zeros and no stale carryover. A
-// condition added after its referenced intervals were released settles
-// Failed and must leave no latency gauge at all (released intervals carry
-// no completion stamps, so a gauge there could only be a fabricated zero).
+// the latency the unbounded monitor records — identical windows, no fake
+// zeros and no stale carryover. A condition added after its referenced
+// intervals were released settles Failed and must add no latency sample
+// (released intervals carry no completion stamps, so a sample there could
+// only be a fabricated zero).
 func TestDetectionLatencyUnderRetention(t *testing.T) {
 	const poll = 8
 	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 6, Rounds: 4, Seed: 1})
@@ -213,7 +212,7 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 	// DropSettled stays off: the final settled count is read back through
 	// Check, whose listing DropSettled would legitimately shrink.
 	policy := &online.RetentionPolicy{MaxEvents: 16, Every: 4}
-	baseSettled, baseWin, _, baseReg := replayLatency(t, res.Exec, ivs, conds, poll, nil)
+	baseSettled, baseWin, _, _ := replayLatency(t, res.Exec, ivs, conds, poll, nil)
 	retSettled, retWin, retMon, retReg := replayLatency(t, res.Exec, ivs, conds, poll, policy)
 
 	if baseSettled != retSettled {
@@ -222,31 +221,6 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 	if baseWin.Count != retWin.Count || baseWin.Sum != retWin.Sum || baseWin.P50 != retWin.P50 || baseWin.P99 != retWin.P99 {
 		t.Errorf("latency windows diverge:\nbaseline %+v\nretained %+v", baseWin, retWin)
 	}
-	const prefix = "online.detect_latency.cond."
-	baseGauges := map[string]int64{}
-	for name, v := range baseReg.Snapshot().Gauges {
-		if strings.HasPrefix(name, prefix) {
-			baseGauges[name] = v
-		}
-	}
-	retGauges := map[string]int64{}
-	for name, v := range retReg.Snapshot().Gauges {
-		if strings.HasPrefix(name, prefix) {
-			retGauges[name] = v
-		}
-	}
-	if len(baseGauges) == 0 {
-		t.Fatal("baseline run recorded no per-condition latency gauges")
-	}
-	if len(baseGauges) != len(retGauges) {
-		t.Errorf("gauge sets diverge: baseline %v, retained %v", baseGauges, retGauges)
-	}
-	for name, want := range baseGauges {
-		if got, ok := retGauges[name]; !ok || got != want {
-			t.Errorf("gauge %s: retained %d (present=%t), baseline %d", name, got, ok, want)
-		}
-	}
-
 	// Force the settled pair out of the window, then reference it late: the
 	// condition fails cleanly and records nothing.
 	retMon.CompactNow()
@@ -268,9 +242,6 @@ func TestDetectionLatencyUnderRetention(t *testing.T) {
 			t.Skipf("no interval released at end of replay (stats %+v); late-condition leg not exercised", st)
 		}
 		t.Error("late condition did not settle")
-	}
-	if _, ok := retReg.Snapshot().Gauges[prefix+"late"]; ok {
-		t.Error("late condition recorded a latency gauge; released intervals have no completion stamps, so this value is fabricated")
 	}
 	if after := retReg.Snapshot().Windows["online.detect_latency_ns"]; after.Count != retWin.Count {
 		t.Errorf("late settlement added a latency sample: window count %d -> %d", retWin.Count, after.Count)

@@ -1,6 +1,10 @@
 package online
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,12 +17,15 @@ import (
 // trace with a known decisive-event→settlement lag: interval A completes at
 // t0+10ms, B (the decisive completion) at t0+50ms, and Check runs at
 // t0+60ms — so detection latency is exactly 10ms — then verifies that the
-// tsdb query API reports that lag after one sampler tick.
+// condition_settled log line carries that lag as detect_latency_ns and the
+// tsdb query API reports it after one sampler tick.
 func TestDetectionLatencyEndToEnd(t *testing.T) {
 	s := NewStream(2)
 	m := NewMonitor(s)
 	reg := obs.New()
 	m.Instrument(reg)
+	var logBuf bytes.Buffer
+	m.SetLogger(obs.NewLogger(&logBuf, slog.LevelInfo))
 
 	base := time.Unix(1_700_000_000, 0)
 	vnow := base
@@ -64,18 +71,26 @@ func TestDetectionLatencyEndToEnd(t *testing.T) {
 	if h := snap.Histograms["online.detect_latency_hist_ns"]; h.Count != 1 || h.Sum != want {
 		t.Fatalf("latency histogram = %+v, want count 1 sum %d", h, want)
 	}
-	if g := snap.Gauges["online.detect_latency.cond.ordered"]; g != want {
-		t.Fatalf("per-condition gauge = %d, want %d", g, want)
+	var settled struct {
+		Event     string `json:"event"`
+		Condition string `json:"condition"`
+		LatencyNs int64  `json:"detect_latency_ns"`
+	}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		if strings.Contains(line, `"event":"condition_settled"`) {
+			if err := json.Unmarshal([]byte(line), &settled); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if settled.Condition != "ordered" || settled.LatencyNs != want {
+		t.Fatalf("condition_settled line = %+v, want ordered with detect_latency_ns %d\n%s", settled, want, logBuf.String())
 	}
 
 	// One sampler tick later the lag is answerable from the tsdb query API.
 	st := tsdb.NewStore(tsdb.Options{})
 	smp := tsdb.NewSampler(reg, st, time.Second)
 	smp.SampleOnce(vnow)
-	p, ok := st.Latest("online.detect_latency.cond.ordered")
-	if !ok || p.V != want {
-		t.Fatalf("tsdb per-condition latency = %v ok=%v, want %d", p, ok, want)
-	}
 	if p, ok := st.Latest("online.detect_latency_ns.p50"); !ok || p.V != want {
 		t.Fatalf("tsdb p50 series = %v ok=%v, want %d", p, ok, want)
 	}

@@ -1,7 +1,9 @@
 package online
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -12,7 +14,6 @@ import (
 	"causet/internal/interval"
 	"causet/internal/monitor"
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 )
 
@@ -92,7 +93,7 @@ type Monitor struct {
 	// wall-clock fallback.
 	nowFn func() time.Time
 
-	lg             *logx.Logger
+	lg             *slog.Logger
 	reg            *obs.Registry
 	metSettlements *obs.Counter
 	violWin        *obs.Window
@@ -165,7 +166,7 @@ func (m *Monitor) Explanation(name string) (*explain.ConditionExplanation, bool)
 // freeze, and — exactly once per condition, by verdict stability —
 // condition_settled with the condition source and final verdict (Info for
 // holds, Warn for violated, Error for failed).
-func (m *Monitor) SetLogger(lg *logx.Logger) {
+func (m *Monitor) SetLogger(lg *slog.Logger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lg = lg
@@ -175,12 +176,14 @@ func (m *Monitor) SetLogger(lg *logx.Logger) {
 // online.settlements counter counts final verdicts, the
 // online.violation_window sliding window observes one sample per violated
 // condition (giving the dashboard a recent-violation rate), detection
-// latency lands in the online.detect_latency_ns window (recent quantiles),
-// the online.detect_latency_hist_ns histogram (full distribution), and a
-// per-condition online.detect_latency.cond.<name> gauge, and every Check or
-// Poll call records its wall-clock cost in the monitor.check_ns window — the
-// steady-state cost is the index drain, so this is the series that shows the
-// amortization working.
+// latency lands in the online.detect_latency_ns window (recent quantiles)
+// and the online.detect_latency_hist_ns histogram (full distribution), and
+// every Check or Poll call records its wall-clock cost in the
+// monitor.check_ns window — the steady-state cost is the index drain, so
+// this is the series that shows the amortization working. A condition's own
+// latency is the detect_latency_ns field of its condition_settled log line,
+// not an instrument: no instrument name is minted from a condition name, so
+// the registry does not grow with the stream.
 func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -265,35 +268,38 @@ func (m *Monitor) settle(cr *condRec, res monitor.Result, ce *explain.ConditionE
 	if haveLatency {
 		m.detectWin.Observe(int64(latency))
 		m.detectHist.Observe(int64(latency))
-		if m.reg != nil {
-			m.reg.Gauge("online.detect_latency.cond." + cr.c.Name).Set(int64(latency))
-		}
 	}
-	if m.lg == nil {
-		return
-	}
-	fields := []logx.Field{
-		logx.F("condition", cr.c.Name),
-		logx.F("src", cr.c.Src),
-		logx.F("state", res.State.String()),
-	}
-	if haveLatency {
-		fields = append(fields, logx.F("detect_latency_ns", int64(latency)))
-	}
-	if res.Err != nil {
-		fields = append(fields, logx.F("err", res.Err))
-	}
-	if ce != nil {
-		fields = append(fields, logx.F("witness", witnessSummary(ce)))
-	}
+	lvl := slog.LevelInfo
 	switch res.State {
 	case monitor.Violated:
-		m.lg.Warn("condition_settled", fields...)
+		lvl = slog.LevelWarn
 	case monitor.Failed:
-		m.lg.Error("condition_settled", fields...)
-	default:
-		m.lg.Info("condition_settled", fields...)
+		lvl = slog.LevelError
 	}
+	if !m.logOn(lvl) {
+		return
+	}
+	attrs := []slog.Attr{
+		slog.String("condition", cr.c.Name),
+		slog.String("src", cr.c.Src),
+		slog.String("state", res.State.String()),
+	}
+	if haveLatency {
+		attrs = append(attrs, slog.Int64("detect_latency_ns", int64(latency)))
+	}
+	if res.Err != nil {
+		attrs = append(attrs, slog.Any("err", res.Err))
+	}
+	if ce != nil {
+		attrs = append(attrs, slog.String("witness", witnessSummary(ce)))
+	}
+	m.lg.LogAttrs(context.TODO(), lvl, "condition_settled", attrs...)
+}
+
+// logOn reports whether events at lvl reach the log; false without one.
+// Callers check it before building fields.
+func (m *Monitor) logOn(lvl slog.Level) bool {
+	return m.lg != nil && m.lg.Enabled(context.TODO(), lvl)
 }
 
 // Observe appends member events to the named growing interval, creating it
@@ -326,9 +332,9 @@ func (m *Monitor) Observe(name string, events ...poset.EventID) error {
 	}
 	rec.observed = true
 	rec.events = append(rec.events, events...)
-	if m.lg.Enabled(logx.Debug) {
-		m.lg.Debug("interval_observe",
-			logx.F("interval", name), logx.F("added", len(events)), logx.F("size", len(rec.events)))
+	if m.logOn(slog.LevelDebug) {
+		m.lg.LogAttrs(context.TODO(), slog.LevelDebug, "interval_observe",
+			slog.String("interval", name), slog.Int("added", len(events)), slog.Int("size", len(rec.events)))
 	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()
@@ -368,8 +374,9 @@ func (m *Monitor) Complete(name string) error {
 		}
 	}
 	rec.waiting = nil
-	if m.lg.Enabled(logx.Info) {
-		m.lg.Info("interval_complete", logx.F("interval", name), logx.F("size", len(rec.events)))
+	if m.logOn(slog.LevelInfo) {
+		m.lg.LogAttrs(context.TODO(), slog.LevelInfo, "interval_complete",
+			slog.String("interval", name), slog.Int("size", len(rec.events)))
 	}
 	if m.retainOn {
 		total := m.stream.TotalEvents()

@@ -5,12 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sync"
 	"testing"
 
 	"causet/internal/monitor"
 	"causet/internal/obs"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 )
 
@@ -39,7 +39,7 @@ func (b *lockedBuffer) Bytes() []byte {
 //
 //  1. Verdict stability: once a condition reports a non-pending state, every
 //     later Check reports the identical state.
-//  2. Exactly-once settlement: the condition_settled logx event fires once
+//  2. Exactly-once settlement: the condition_settled log event fires once
 //     per condition, however many concurrent Checks race to settle it.
 func TestMonitorConcurrentSettlement(t *testing.T) {
 	const procs = 4
@@ -51,7 +51,7 @@ func TestMonitorConcurrentSettlement(t *testing.T) {
 	m := NewMonitor(s)
 	m.Instrument(reg)
 	var logBuf lockedBuffer
-	m.SetLogger(logx.New(&logBuf, logx.Debug))
+	m.SetLogger(obs.NewLogger(&logBuf, slog.LevelDebug))
 
 	// One interval per (round, proc): a chain of sends around the ring, so
 	// consecutive rounds are causally ordered and R1 holds between them.

@@ -1,12 +1,13 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"causet/internal/monitor"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 )
 
@@ -208,8 +209,10 @@ func (m *Monitor) appraiseLocked(total int) {
 			delete(m.ivs, name)
 			m.abandoned[name] = struct{}{}
 			m.metAbandoned.Add(1)
-			m.lg.Warn("interval_abandoned",
-				logx.F("interval", name), logx.F("idle_events", total-rec.seq))
+			if m.logOn(slog.LevelWarn) {
+				m.lg.LogAttrs(context.TODO(), slog.LevelWarn, "interval_abandoned",
+					slog.String("interval", name), slog.Int("idle_events", total-rec.seq))
+			}
 			err := m.retiredErrLocked(name)
 			for _, cr := range rec.waiting {
 				if !cr.settled {
@@ -221,7 +224,7 @@ func (m *Monitor) appraiseLocked(total int) {
 
 	// 2. Release settled completed intervals. refs > 0 means an unsettled
 	// condition still references the interval — its events and completion
-	// stamp must survive (the stamp is what keeps detection-latency gauges
+	// stamp must survive (the stamp is what keeps detection-latency samples
 	// honest for conditions that settle during a compaction epoch). The
 	// window restarts at last use (the final referencing settlement), so
 	// StrongestBetween queried at settlement time always finds its operands.
@@ -244,13 +247,6 @@ func (m *Monitor) appraiseLocked(total int) {
 		for _, cr := range m.conds {
 			if cr.settled && m.outOfWindowLocked(total, now, cr.seq, cr.at) {
 				m.byName[cr.c.Name] = nil
-				// The per-condition latency gauge is minted from the condition
-				// name — unbounded input on a long stream — so it retires with
-				// the condition state, keeping registry (and sampler/tsdb)
-				// cardinality bounded by the window.
-				if m.reg != nil {
-					m.reg.RemoveGauge("online.detect_latency.cond." + cr.c.Name)
-				}
 				continue
 			}
 			kept = append(kept, cr)
@@ -284,7 +280,9 @@ func (m *Monitor) appraiseLocked(total int) {
 		// Compact only rejects a watermark of the wrong width, and w is
 		// sized from the stream itself; should that ever change, surface the
 		// error rather than wedge the monitor.
-		m.lg.Error("compaction_failed", logx.F("err", err))
+		if m.logOn(slog.LevelError) {
+			m.lg.LogAttrs(context.TODO(), slog.LevelError, "compaction_failed", slog.Any("err", err))
+		}
 		return
 	}
 	m.watermark = applied

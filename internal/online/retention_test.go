@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"causet/internal/monitor"
 	"causet/internal/obs"
+	"causet/internal/obs/tsdb"
 	"causet/internal/poset"
 	"causet/internal/sim"
 )
@@ -439,72 +441,69 @@ func TestStreamPinClampsWatermark(t *testing.T) {
 	}
 }
 
-// TestRetentionDropsPerConditionGauges pins the registry-cardinality side of
-// the memory bound: per-condition detection-latency gauges are minted from
-// condition names — unbounded input on a long stream — and must retire with
-// the condition state under DropSettled, or the registry (and everything
-// sampling it) grows without bound while the monitor itself stays flat.
-func TestRetentionDropsPerConditionGauges(t *testing.T) {
-	const procs, rounds = 4, 2000
-	reg := obs.New()
-	s := NewStream(procs)
-	s.Instrument(reg, nil)
-	m := NewMonitor(s)
-	m.Instrument(reg)
-	if err := m.SetRetention(RetentionPolicy{MaxEvents: 64, Every: 16, DropSettled: true}); err != nil {
-		t.Fatal(err)
-	}
-	sawGauge := false
-	maxGauges := 0
-	countCond := func() int {
-		n := 0
-		for name := range reg.Snapshot().Gauges {
-			if strings.HasPrefix(name, "online.detect_latency.cond.") {
-				n++
-			}
-		}
-		return n
-	}
-	for r := 0; r < rounds; r++ {
-		name := fmt.Sprintf("r-%d", r)
-		for p := 0; p < procs; p++ {
-			e, err := s.Local(p)
-			if err != nil {
+// TestRegistrySeriesCountIsStreamIndependent pins telemetry cardinality by
+// construction: no instrument name is minted from a condition or interval
+// name, so the registry — and a tsdb store sampling it — holds as many
+// series after 2,000 rounds as after 64, whether or not retention drops
+// settled condition state.
+func TestRegistrySeriesCountIsStreamIndependent(t *testing.T) {
+	const procs, rounds, early = 4, 2000, 64
+	for _, dropSettled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("DropSettled=%t", dropSettled), func(t *testing.T) {
+			reg := obs.New()
+			s := NewStream(procs)
+			s.Instrument(reg, nil)
+			m := NewMonitor(s)
+			m.Instrument(reg)
+			if err := m.SetRetention(RetentionPolicy{MaxEvents: 64, Every: 16, DropSettled: dropSettled}); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Observe(name, e); err != nil {
-				t.Fatal(err)
+			st := tsdb.NewStore(tsdb.Options{})
+			smp := tsdb.NewSampler(reg, st, time.Second)
+			at := time.Unix(1_700_000_000, 0)
+			count := func() (regSeries, storeSeries int) {
+				at = at.Add(time.Second)
+				smp.SampleOnce(at)
+				snap := reg.Snapshot()
+				regSeries = len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms) + len(snap.Windows) + len(snap.Infos)
+				return regSeries, len(st.Names())
 			}
-		}
-		if err := m.Complete(name); err != nil {
-			t.Fatal(err)
-		}
-		if r > 0 {
-			cond := fmt.Sprintf("c-%d", r)
-			if err := m.AddCondition(cond, fmt.Sprintf("R1(r-%d, %s)", r-1, name)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m.Poll()
-		if r%64 == 0 {
-			if n := countCond(); n > 0 {
-				sawGauge = true
-				if n > maxGauges {
-					maxGauges = n
+			var earlyReg, earlyStore int
+			for r := 0; r <= rounds; r++ {
+				name := fmt.Sprintf("r-%d", r)
+				for p := 0; p < procs; p++ {
+					e, err := s.Local(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Observe(name, e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Complete(name); err != nil {
+					t.Fatal(err)
+				}
+				if r > 0 {
+					cond := fmt.Sprintf("c-%d", r)
+					if err := m.AddCondition(cond, fmt.Sprintf("R1(r-%d, %s)", r-1, name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m.Poll()
+				if r == early {
+					earlyReg, earlyStore = count()
 				}
 			}
-		}
-	}
-	if !sawGauge {
-		t.Fatal("no per-condition latency gauge was ever registered; the test is not exercising the path")
-	}
-	// The live gauge set must be bounded by the retention window, not the
-	// stream length: 64-event window over 4-event rounds plus appraisal slack.
-	if bound := 4 * 64 / procs; maxGauges > bound {
-		t.Errorf("per-condition gauge cardinality peaked at %d; want <= %d (window-bounded, not O(rounds)=%d)", maxGauges, bound, rounds)
-	}
-	m.CompactNow()
-	if n := countCond(); n > 64 {
-		t.Errorf("%d per-condition gauges survive the final appraisal; want the window's worth at most", n)
+			if got := reg.Counter("online.settlements").Value(); got != rounds {
+				t.Fatalf("%d settlements, want %d; the test is not settling conditions", got, rounds)
+			}
+			lateReg, lateStore := count()
+			if lateReg != earlyReg {
+				t.Errorf("registry holds %d series at round %d, %d at round %d; want equal", lateReg, rounds, earlyReg, early)
+			}
+			if lateStore != earlyStore {
+				t.Errorf("tsdb store holds %d series at round %d, %d at round %d; want equal", lateStore, rounds, earlyStore, early)
+			}
+		})
 	}
 }

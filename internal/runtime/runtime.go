@@ -12,13 +12,14 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"causet/internal/obs"
 	"causet/internal/obs/flight"
-	"causet/internal/obs/logx"
 	"causet/internal/poset"
 )
 
@@ -81,7 +82,7 @@ type System struct {
 
 	met systemObs
 	tr  *obs.Tracer
-	lg  *logx.Logger
+	lg  *slog.Logger
 	fr  *flight.Recorder
 }
 
@@ -152,7 +153,20 @@ func (s *System) noteQueueDepth(node int) {
 // SetLogger attaches a structured event log (may be nil): one Debug event
 // per send, receive, internal event, and protocol-round span, each carrying
 // the node ID. Call SetLogger before Run.
-func (s *System) SetLogger(lg *logx.Logger) { s.lg = lg }
+func (s *System) SetLogger(lg *slog.Logger) { s.lg = lg }
+
+// debugOn reports whether Debug events reach the log; false without one.
+func (s *System) debugOn() bool {
+	return s.lg != nil && s.lg.Enabled(context.TODO(), slog.LevelDebug)
+}
+
+// debug emits one Debug event carrying the node ID. No-op without a log.
+func (s *System) debug(event string, node int, attrs ...slog.Attr) {
+	if s.debugOn() {
+		s.lg.LogAttrs(context.TODO(), slog.LevelDebug, event,
+			append([]slog.Attr{slog.Int("node", node)}, attrs...)...)
+	}
+}
 
 // NewSystem creates a system of n nodes with buffered inboxes. The buffer
 // must be large enough that the application's sends never block on a node
@@ -268,7 +282,7 @@ func (nd *Node) NumNodes() int { return nd.sys.n }
 // Internal records a local event with the given label and returns it.
 func (nd *Node) Internal(label string) poset.EventID {
 	e := nd.sys.record(nd.id, label, "internal")
-	nd.sys.lg.Debug("internal", logx.F("node", nd.id), logx.F("label", label))
+	nd.sys.debug("internal", nd.id, slog.String("label", label))
 	return e
 }
 
@@ -280,7 +294,7 @@ func (nd *Node) Send(to int, payload any) poset.EventID {
 		panic(fmt.Sprintf("runtime: node %d sending to %d", nd.id, to))
 	}
 	send := nd.sys.record(nd.id, fmt.Sprintf("send→%d", to), "send")
-	nd.sys.lg.Debug("send", logx.F("node", nd.id), logx.F("to", to), logx.F("pos", send.Pos))
+	nd.sys.debug("send", nd.id, slog.Int("to", to), slog.Int("pos", send.Pos))
 	env := Envelope{From: nd.id, To: to, Payload: payload, sendEvent: send}
 	if t := nd.sys.transport; t != nil {
 		t.Send(env)
@@ -307,7 +321,7 @@ func (nd *Node) Send(to int, payload any) poset.EventID {
 // valid because every receive event still links to its own send event.
 func (nd *Node) Recv() (Envelope, poset.EventID) {
 	s := nd.sys
-	timed := s.met.recvWait != nil || s.lg.Enabled(logx.Debug)
+	timed := s.met.recvWait != nil || s.debugOn()
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -328,7 +342,7 @@ func (nd *Node) Recv() (Envelope, poset.EventID) {
 		if s.met.recvWaitNode != nil {
 			s.met.recvWaitNode[nd.id].Set(waitNs)
 		}
-		s.lg.Debug("recv", logx.F("node", nd.id), logx.F("from", env.From), logx.F("wait_ns", waitNs))
+		s.debug("recv", nd.id, slog.Int("from", env.From), slog.Int64("wait_ns", waitNs))
 	}
 	return env, recv
 }
@@ -338,7 +352,7 @@ func (nd *Node) Recv() (Envelope, poset.EventID) {
 // critical-section entry). On a logged system the round start is also
 // emitted as a Debug event. No-op on an uninstrumented system.
 func (nd *Node) Span(cat, name string) obs.Span {
-	nd.sys.lg.Debug("round", logx.F("node", nd.id), logx.F("cat", cat), logx.F("name", name))
+	nd.sys.debug("round", nd.id, slog.String("cat", cat), slog.String("name", name))
 	return nd.sys.tr.BeginTID(cat, name, int64(nd.id))
 }
 
@@ -358,14 +372,14 @@ func (nd *Node) TryRecv() (Envelope, poset.EventID, bool) {
 			return Envelope{}, poset.EventID{}, false
 		}
 		recv := nd.sys.recordEdge(env.sendEvent, nd.id, fmt.Sprintf("recv←%d", env.From))
-		nd.sys.lg.Debug("recv", logx.F("node", nd.id), logx.F("from", env.From))
+		nd.sys.debug("recv", nd.id, slog.Int("from", env.From))
 		return env, recv, true
 	}
 	select {
 	case env := <-nd.sys.inboxes[nd.id]:
 		nd.sys.noteQueueDepth(nd.id)
 		recv := nd.sys.recordEdge(env.sendEvent, nd.id, fmt.Sprintf("recv←%d", env.From))
-		nd.sys.lg.Debug("recv", logx.F("node", nd.id), logx.F("from", env.From))
+		nd.sys.debug("recv", nd.id, slog.Int("from", env.From))
 		return env, recv, true
 	default:
 		return Envelope{}, poset.EventID{}, false
