@@ -384,7 +384,7 @@ func TestSnapshotCounters(t *testing.T) {
 }
 
 // TestMonitorCheckWindow verifies the monitor.check_ns window records one
-// sample per Check call.
+// sample per Check and per Poll call.
 func TestMonitorCheckWindow(t *testing.T) {
 	reg := obs.New()
 	s := NewStream(2)
@@ -395,9 +395,10 @@ func TestMonitorCheckWindow(t *testing.T) {
 	}
 	m.Check()
 	m.Check()
+	m.Poll()
 	snap := reg.Snapshot()
-	if got := snap.Windows["monitor.check_ns"].Count; got != 2 {
-		t.Errorf("monitor.check_ns window count = %d; want 2", got)
+	if got := snap.Windows["monitor.check_ns"].Count; got != 3 {
+		t.Errorf("monitor.check_ns window count = %d; want 3", got)
 	}
 }
 

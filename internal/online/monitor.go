@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,13 +45,14 @@ type ivRec struct {
 	bad     error
 }
 
-// condRec is the monitor's whole state for one registered condition.
+// condRec is the monitor's whole state for one registered condition. Its
+// verdict lives in the monitor's listing, at idx.
 type condRec struct {
 	c       monitor.Condition
 	refs    []string // monitor.Referenced(c.Expr), computed once
 	missing int      // referenced intervals not yet complete
 	settled bool
-	res     monitor.Result
+	idx     int       // position in conds and listing
 	seq     int       // settlement stream position (retention only)
 	at      time.Time // settlement time on the monitor clock (retention only)
 	expl    *explain.ConditionExplanation
@@ -71,15 +73,23 @@ type condRec struct {
 // checks. The differential oracle is the offline monitor.Monitor over a
 // cold Builder.Build of the same prefix (see
 // TestIncrementalSnapshotAgreement).
+//
+// The Check listing is persistent state too, updated in place at settlement
+// and handed out copy-on-write: Check returns it with cap == len and marks it
+// shared, and the first write after that (a settlement or a DropSettled
+// compaction) clones it first. A slice a caller holds is therefore never
+// written again.
 type Monitor struct {
 	stream *Stream
 
-	mu     sync.Mutex
-	ivs    map[string]*ivRec
-	conds  []*condRec          // registration order; DropSettled removes entries
-	byName map[string]*condRec // nil value: dropped, the name stays reserved
-	ready  []*condRec          // unblocked, not yet evaluated
-	inner  *monitor.Monitor    // persistent inner monitor, created lazily
+	mu      sync.Mutex
+	ivs     map[string]*ivRec
+	conds   []*condRec          // registration order; DropSettled removes entries
+	listing []monitor.Result    // parallel to conds: Pending or the final verdict
+	shared  bool                // listing was handed out by Check; clone before writing
+	byName  map[string]*condRec // nil value: dropped, the name stays reserved
+	ready   []*condRec          // unblocked, not yet evaluated
+	inner   *monitor.Monitor    // persistent inner monitor, created lazily
 
 	// explainOn captures a witness and critical-path explanation over the
 	// settling snapshot for every condition that holds or is violated.
@@ -178,8 +188,8 @@ func (m *Monitor) SetLogger(lg *slog.Logger) {
 // condition (giving the dashboard a recent-violation rate), detection
 // latency lands in the online.detect_latency_ns window (recent quantiles)
 // and the online.detect_latency_hist_ns histogram (full distribution), and
-// every Check or Poll call records its wall-clock cost in the
-// monitor.check_ns window — the steady-state cost is the index drain, so
+// every Check or Poll call records its whole wall-clock cost (ready-queue
+// drain, retention appraisal and handout) in the monitor.check_ns window —
 // this is the series that shows the amortization working. A condition's own
 // latency is the detect_latency_ns field of its condition_settled log line,
 // not an instrument: no instrument name is minted from a condition name, so
@@ -214,7 +224,9 @@ func (m *Monitor) SetNow(now func() time.Time) {
 // verdict passes through, so the settlement log event fires exactly once
 // per condition.
 func (m *Monitor) settle(cr *condRec, res monitor.Result, ce *explain.ConditionExplanation) {
-	cr.settled, cr.res = true, res
+	cr.settled = true
+	m.ownListingLocked()
+	m.listing[cr.idx] = res
 	m.newResults = append(m.newResults, res)
 	var total int
 	var now time.Time
@@ -427,8 +439,11 @@ func (m *Monitor) AddCondition(name, src string) error {
 	if _, dup := m.byName[name]; dup {
 		return fmt.Errorf("online: condition %q already defined", name)
 	}
-	cr := &condRec{c: monitor.Condition{Name: name, Src: src, Expr: expr}}
+	cr := &condRec{c: monitor.Condition{Name: name, Src: src, Expr: expr}, idx: len(m.conds)}
 	m.conds = append(m.conds, cr)
+	// Appending never disturbs a handed-out listing: its cap ends where the
+	// new entry begins.
+	m.listing = append(m.listing, monitor.Result{Name: name, State: monitor.Pending})
 	m.byName[name] = cr
 	refs := monitor.Referenced(expr)
 	// A reference to a retired interval can never be satisfied: settle now
@@ -465,35 +480,55 @@ func (m *Monitor) AddCondition(name, src string) error {
 // verdict is final and memoized. Only the conditions unblocked since the
 // previous Check (or Poll) are evaluated, against a persistent inner monitor
 // rebased onto the current snapshot epoch.
+//
+// The result is a read-only snapshot of the monitor's listing: later
+// settlements, AddCondition and retention never change it, and appending to
+// it copies (its cap equals its len). A Check with nothing to settle costs
+// O(1) and allocates nothing; a Check that settles something copies the
+// listing once, O(#conditions).
 func (m *Monitor) Check() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t0 := m.checkStartLocked()
 	m.drainLocked()
-	out := make([]monitor.Result, 0, len(m.conds))
-	for _, cr := range m.conds {
-		if cr.settled {
-			out = append(out, cr.res)
-		} else {
-			out = append(out, monitor.Result{Name: cr.c.Name, State: monitor.Pending})
-		}
-	}
 	m.newResults = nil
+	m.shared = true
+	out := m.listing[:len(m.listing):len(m.listing)]
+	m.checkDoneLocked(t0)
 	return out
 }
 
-// drainLocked is the one check loop behind Check and Poll: it evaluates the
-// ready queue, records the pass in the monitor.check_ns window, and runs a
-// retention appraisal when the cadence is due. Caller holds m.mu.
-func (m *Monitor) drainLocked() {
-	var t0 time.Time
-	if m.checkWin != nil {
-		t0 = time.Now()
+// ownListingLocked makes the listing safe to write in place: if Check has
+// handed it out since the last write, it is cloned first. Caller holds m.mu.
+func (m *Monitor) ownListingLocked() {
+	if m.shared {
+		m.listing = slices.Clone(m.listing)
+		m.shared = false
 	}
+}
+
+// drainLocked is the one check loop behind Check and Poll: it evaluates the
+// ready queue and runs a retention appraisal when the cadence is due. Caller
+// holds m.mu.
+func (m *Monitor) drainLocked() {
 	m.checkReadyLocked()
+	m.maybeRetainLocked()
+}
+
+// checkStartLocked and checkDoneLocked bracket a whole Check or Poll body
+// (drain, appraisal and handout) for the monitor.check_ns window; both are
+// no-ops without a registry. Caller holds m.mu.
+func (m *Monitor) checkStartLocked() time.Time {
+	if m.checkWin == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (m *Monitor) checkDoneLocked(t0 time.Time) {
 	if m.checkWin != nil {
 		m.checkWin.Observe(time.Since(t0).Nanoseconds())
 	}
-	m.maybeRetainLocked()
 }
 
 // ensureInnerLocked points the persistent inner monitor at the current

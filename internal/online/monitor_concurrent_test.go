@@ -354,3 +354,105 @@ func TestMonitorConcurrentWithCompaction(t *testing.T) {
 		t.Errorf("no interval was released under aggressive retention: %+v", st)
 	}
 }
+
+// TestCheckListingConcurrentReaders hands every Check listing to reader
+// goroutines that keep walking old listings while the test goroutine goes on
+// settling, adding conditions and compacting under DropSettled (run under
+// -race in CI). The copy-on-write listing must never be written once handed
+// out: each reader re-renders every listing it holds and compares it with
+// the rendering taken on receipt, and the race detector flags any write.
+func TestCheckListingConcurrentReaders(t *testing.T) {
+	const procs = 4
+	const rounds = 24
+	const readers = 3
+	const held = 8 // listings each reader keeps re-walking
+
+	s := NewStream(procs)
+	m := NewMonitor(s)
+	if err := m.SetRetention(RetentionPolicy{MaxEvents: 8, Every: 4, DropSettled: true}); err != nil {
+		t.Fatal(err)
+	}
+	feeds := make([]chan []monitor.Result, readers)
+	var wg sync.WaitGroup
+	for i := range feeds {
+		feeds[i] = make(chan []monitor.Result, 16)
+		wg.Add(1)
+		go func(feed <-chan []monitor.Result) {
+			defer wg.Done()
+			type snap struct {
+				rs   []monitor.Result
+				text string
+			}
+			var window []snap
+			changed := false // report once, but keep draining the feed
+			for rs := range feed {
+				window = append(window, snap{rs, renderResults(rs)})
+				if len(window) > held {
+					window = window[1:]
+				}
+				for _, w := range window {
+					if got := renderResults(w.rs); got != w.text && !changed {
+						changed = true
+						t.Errorf("handed-out listing changed:\n got %s\nwant %s", got, w.text)
+					}
+				}
+			}
+		}(feeds[i])
+	}
+
+	// One causal chain around the ring: round r is ordered before round
+	// r+1, and each condition is registered just before its second round
+	// starts, so AddCondition interleaves with settlements and compaction.
+	verdicts := map[string]monitor.State{}
+	var last poset.EventID
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("round-%d", r)
+		if r > 0 {
+			mustAdd(t, m, fmt.Sprintf("ordered-%d", r-1), fmt.Sprintf("R1(round-%d, %s)", r-1, name))
+		}
+		for p := 0; p < procs; p++ {
+			var e poset.EventID
+			var err error
+			if r == 0 && p == 0 {
+				e, err = s.Send(p)
+			} else {
+				e, err = s.Recv(p, last)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = e
+			if err := m.Observe(name, e); err != nil {
+				t.Fatal(err)
+			}
+			if p == procs-1 {
+				mustComplete(t, m, name)
+			}
+			rs := m.Check()
+			for _, res := range rs {
+				if res.State != monitor.Pending {
+					verdicts[res.Name] = res.State
+				}
+			}
+			for _, feed := range feeds {
+				feed <- rs
+			}
+		}
+	}
+	for _, feed := range feeds {
+		close(feed)
+	}
+	wg.Wait()
+
+	if len(verdicts) != rounds-1 {
+		t.Fatalf("%d conditions settled, want %d: %v", len(verdicts), rounds-1, verdicts)
+	}
+	for name, st := range verdicts {
+		if st != monitor.Holds {
+			t.Errorf("%s = %v, want holds", name, st)
+		}
+	}
+	if st := m.RetentionStats(); st.Released == 0 {
+		t.Errorf("no interval was released, so DropSettled never compacted the listing: %+v", st)
+	}
+}

@@ -128,15 +128,18 @@ func (m *Monitor) RetentionStats() RetentionStats {
 }
 
 // Poll runs the check loop and returns only the conditions that settled
-// since the previous Poll (or Check, which also consumes the delta). Unlike
-// Check it never assembles the full O(#conditions) result slice, so a
-// long-horizon driver can call it per event without going quadratic.
+// since the previous Poll (or Check, which also consumes the delta); the
+// slice is the caller's to keep. Its cost follows what settled: unlike a
+// settling Check it never copies the O(#conditions) listing, and under
+// DropSettled it is the path that reports every verdict exactly once.
 func (m *Monitor) Poll() []monitor.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t0 := m.checkStartLocked()
 	m.drainLocked()
 	out := m.newResults
 	m.newResults = nil
+	m.checkDoneLocked(t0)
 	return out
 }
 
@@ -242,17 +245,28 @@ func (m *Monitor) appraiseLocked(total int) {
 
 	// 3. Drop settled condition state (opt-in). Only a nil entry in byName
 	// stays, reserving the name; the compiled expression and the verdict go.
+	// conds and the listing compact together, and the listing is cloned at
+	// the first drop if Check handed it out, so no write reaches a caller's
+	// snapshot.
 	if m.retention.DropSettled {
-		kept := m.conds[:0]
+		kept := 0
 		for _, cr := range m.conds {
 			if cr.settled && m.outOfWindowLocked(total, now, cr.seq, cr.at) {
 				m.byName[cr.c.Name] = nil
+				m.ownListingLocked()
 				continue
 			}
-			kept = append(kept, cr)
+			if kept != cr.idx {
+				m.conds[kept], m.listing[kept] = cr, m.listing[cr.idx]
+				cr.idx = kept
+			}
+			kept++
 		}
-		clear(m.conds[len(kept):])
-		m.conds = kept
+		if kept < len(m.conds) {
+			clear(m.conds[kept:])
+			clear(m.listing[kept:])
+			m.conds, m.listing = m.conds[:kept], m.listing[:kept]
+		}
 	}
 
 	// 4. Compact the stream below everything still needed: every retained
