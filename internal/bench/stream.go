@@ -148,7 +148,7 @@ func runStream(res *sim.Result, conds [][2]string, reg *obs.Registry, tr *obs.Tr
 // completes a phase re-evaluates offline — a cold Build of the prefix, a
 // fresh monitor.New over it (full clock tables), Define of the intervals
 // the newly ready conditions reference, and Check. This is the cost model
-// of an online loop without snapshot views, carried cut caches, or a
+// of an online loop without snapshot views, a cut store, or a
 // readiness index.
 func runOfflineRebuild(res *sim.Result, conds [][2]string) (streamRun, error) {
 	var run streamRun

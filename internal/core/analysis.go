@@ -32,13 +32,6 @@ type cacheEntry struct {
 
 	proxyOnce [2]sync.Once // indexed by interval.ProxyKind
 	proxy     [2]*ProxyCuts
-
-	// done / proxyDone are store-released after the corresponding once.Do
-	// body publishes its result, so NewAnalysisCarry can read completed
-	// entries from a still-live Analysis without touching the sync.Once
-	// internals (a bare read of e.ic would race with an in-flight build).
-	done      atomic.Bool
-	proxyDone [2]atomic.Bool
 }
 
 // cacheShard is one lock domain of the cut cache.
@@ -53,16 +46,24 @@ type cacheShard struct {
 // nonatomic event are computed once and reused against many other events,
 // and against many concurrent queriers).
 //
+// An Analysis made by a CutStore (one epoch of a growing execution) looks
+// up the store first; its own cache is then only an overlay for cuts that
+// are not yet epoch-stable, allocated on the first miss.
+//
 // An Analysis is safe for concurrent use after construction.
 type Analysis struct {
 	ex  *poset.Execution
 	clk *vclock.Clocks
 
 	shards      []cacheShard
+	overlayOnce sync.Once // allocates shards of a store-backed Analysis
+	store       *CutStore // nil for an offline Analysis
+	epoch       uint64    // store epoch; see CutStore.Analysis
+
 	builds      atomic.Int64
 	proxyBuilds atomic.Int64
 
-	met analysisObs
+	met *analysisObs
 }
 
 // evalKind indexes analysisObs.evals; it matches Evaluator.Name order.
@@ -94,7 +95,8 @@ func (m *evalObs) record(rel Relation, checks int64) {
 }
 
 // analysisObs is the instrumentation of one Analysis; its zero value (the
-// uninstrumented state) makes every record call a nil-receiver no-op.
+// uninstrumented state) makes every record call a nil-receiver no-op. An
+// analysisObs is immutable once built, so the epochs of a CutStore share one.
 type analysisObs struct {
 	tracer     *obs.Tracer
 	cutBuilds  *obs.Counter
@@ -115,6 +117,9 @@ type analysisObs struct {
 	witnessExtractions *obs.Counter
 }
 
+// noObs is the shared uninstrumented state; it is never written.
+var noObs analysisObs
+
 // Instrument attaches a metrics registry and/or execution tracer to the
 // analysis. Either may be nil. The registry receives, cumulatively:
 //
@@ -134,25 +139,31 @@ type analysisObs struct {
 // construction. Call Instrument before sharing the Analysis across
 // goroutines; it is not synchronized with concurrent evaluations.
 func (a *Analysis) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	a.met.tracer = tr
+	a.met = newAnalysisObs(reg, tr)
+}
+
+// newAnalysisObs interns the instruments Instrument documents.
+func newAnalysisObs(reg *obs.Registry, tr *obs.Tracer) *analysisObs {
+	m := &analysisObs{tracer: tr}
 	if reg == nil {
-		return
+		return m
 	}
-	a.met.cutBuilds = reg.Counter("core.cut_builds")
-	a.met.cutBuildNs = reg.Histogram("core.cut_build_ns", obs.DurationBuckets)
-	a.met.proxyCutBuilds = reg.Counter("core.proxy_cut_builds")
-	a.met.fusedProfiles = reg.Counter("core.fused.profiles")
-	a.met.fusedTable1 = reg.Counter("core.fused.table1_evals")
-	a.met.fusedComparisons = reg.Counter("core.fused.comparisons")
-	a.met.witnessExtractions = reg.Counter("core.witness_extractions")
+	m.cutBuilds = reg.Counter("core.cut_builds")
+	m.cutBuildNs = reg.Histogram("core.cut_build_ns", obs.DurationBuckets)
+	m.proxyCutBuilds = reg.Counter("core.proxy_cut_builds")
+	m.fusedProfiles = reg.Counter("core.fused.profiles")
+	m.fusedTable1 = reg.Counter("core.fused.table1_evals")
+	m.fusedComparisons = reg.Counter("core.fused.comparisons")
+	m.witnessExtractions = reg.Counter("core.witness_extractions")
 	for k, name := range [numEvalKinds]string{"naive", "proxy", "fast"} {
-		eo := &a.met.evals[k]
+		eo := &m.evals[k]
 		eo.evals = reg.Counter("core." + name + ".evals")
 		eo.comparisons = reg.Counter("core." + name + ".comparisons")
 		for _, rel := range Relations() {
 			eo.perRel[rel] = reg.Counter("core." + name + ".comparisons." + rel.String())
 		}
 	}
+	return m
 }
 
 // NewAnalysis computes the timestamp structure for ex. This is the one-time
@@ -172,75 +183,10 @@ func NewAnalysisShards(ex *poset.Execution, shards int) *Analysis {
 		ex:     ex,
 		clk:    vclock.New(ex),
 		shards: make([]cacheShard, shards),
+		met:    &noObs,
 	}
 	for i := range a.shards {
 		a.shards[i].m = make(map[*interval.Interval]*cacheEntry)
-	}
-	return a
-}
-
-// NewAnalysisCarry builds an Analysis over ex with caller-supplied clocks,
-// seeding its cut cache from a previous epoch's Analysis. Cache entries are
-// carried only when provably identical to what a cold rebuild at the new
-// epoch would produce: the entry's build is complete (done flag, published
-// with release semantics by the builder) and its up-cuts never consulted the
-// epoch-dependent TopPos fallback (upStable; see IntervalCuts). Down-cuts,
-// being functions of the past alone, are always safe. prev may be nil, which
-// degenerates to a cold cache. The pre-interned instruments of prev are
-// copied so a carried Analysis keeps reporting to the same registry without
-// re-interning ~100 counters per snapshot.
-//
-// This is the online hot path's constructor: paired with vclock.NewLazy it
-// makes Stream.Snapshot amortized O(|P|) per appended event (DESIGN.md S25).
-func NewAnalysisCarry(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis) *Analysis {
-	return NewAnalysisCarryFiltered(ex, clk, prev, nil)
-}
-
-// NewAnalysisCarryFiltered is NewAnalysisCarry with a retention predicate:
-// cache entries whose interval fails keep are not carried into the new
-// epoch. Stream compaction uses it to drop cuts whose provenance falls below
-// the watermark — a carried cut's events must all remain addressable by the
-// new epoch's (possibly rebased) clocks, and the cheapest sound rule is to
-// carry only intervals the monitor still retains. A nil keep carries
-// everything the stability rules allow.
-func NewAnalysisCarryFiltered(ex *poset.Execution, clk *vclock.Clocks, prev *Analysis, keep func(*interval.Interval) bool) *Analysis {
-	a := &Analysis{
-		ex:     ex,
-		clk:    clk,
-		shards: make([]cacheShard, DefaultCacheShards),
-	}
-	for i := range a.shards {
-		a.shards[i].m = make(map[*interval.Interval]*cacheEntry)
-	}
-	if prev == nil {
-		return a
-	}
-	a.met = prev.met
-	for si := range prev.shards {
-		ps := &prev.shards[si]
-		ps.mu.RLock()
-		for iv, e := range ps.m {
-			if !e.done.Load() || !e.ic.upStable {
-				continue
-			}
-			if keep != nil && !keep(iv) {
-				continue
-			}
-			ne := &cacheEntry{}
-			ne.once.Do(func() { ne.ic = e.ic })
-			ne.done.Store(true)
-			for k := range e.proxy {
-				if e.proxyDone[k].Load() && e.proxy[k].Cuts.upStable {
-					pc := e.proxy[k]
-					ne.proxyOnce[k].Do(func() { ne.proxy[k] = pc })
-					ne.proxyDone[k].Store(true)
-				}
-			}
-			// a is not yet published, so the shard map can be written
-			// without its lock.
-			a.shard(iv).m[iv] = ne
-		}
-		ps.mu.RUnlock()
 	}
 	return a
 }
@@ -275,8 +221,8 @@ type IntervalCuts struct {
 	// TopPos fallback for "no follower yet". Down-cuts and the extremal
 	// positions are functions of the past and never change as an execution
 	// grows; an up-cut component with TR(e)[i] = 0 evaluates to TopPos(i),
-	// which grows with the epoch. Only entries with upStable set may be
-	// carried across snapshot epochs by NewAnalysisCarry.
+	// which grows with the epoch. Only cuts with upStable set enter a
+	// CutStore, which serves them to every later epoch.
 	upStable bool
 }
 
@@ -289,31 +235,51 @@ func (a *Analysis) shard(iv *interval.Interval) *cacheShard {
 	return &a.shards[h%uint(len(a.shards))]
 }
 
-// Cuts returns the condensed cuts of iv, computing them on first use and
-// caching thereafter (Key Idea 1). It panics when iv belongs to a different
-// execution.
-//
-// The lookup is double-checked: a shared-lock probe on the hot path, then an
-// exclusive-lock slot reservation, then a singleflight build outside the
-// shard lock — concurrent queries for the same cold interval build its cuts
-// exactly once (CutBuilds counts), and builds of different intervals in the
-// same shard never serialize on each other.
-func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
-	if !poset.Prefix(iv.Execution(), a.ex) {
-		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
+// entry returns iv's cache slot: a shared-lock probe on the hot path, then
+// an exclusive-lock reservation on a miss. A store-backed Analysis
+// allocates its one-shard overlay on the first call.
+func (a *Analysis) entry(iv *interval.Interval) *cacheEntry {
+	if a.store != nil {
+		a.overlayOnce.Do(func() {
+			a.shards = []cacheShard{{m: make(map[*interval.Interval]*cacheEntry)}}
+		})
 	}
 	s := a.shard(iv)
 	s.mu.RLock()
 	e, ok := s.m[iv]
 	s.mu.RUnlock()
-	if !ok {
-		s.mu.Lock()
-		if e, ok = s.m[iv]; !ok {
-			e = &cacheEntry{}
-			s.m[iv] = e
-		}
-		s.mu.Unlock()
+	if ok {
+		return e
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok = s.m[iv]; !ok {
+		e = &cacheEntry{}
+		s.m[iv] = e
+	}
+	return e
+}
+
+// Cuts returns the condensed cuts of iv, computing them on first use and
+// caching thereafter (Key Idea 1). It panics when iv belongs to a different
+// execution.
+//
+// A store-backed Analysis serves epoch-stable cuts from its CutStore. Any
+// other lookup goes through the Analysis's own cache: the slot is reserved
+// under the shard lock, then built singleflight outside it — concurrent
+// queries for the same cold interval build its cuts exactly once
+// (CutBuilds counts), and builds of different intervals in the same shard
+// never serialize on each other.
+func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
+	if !poset.Prefix(iv.Execution(), a.ex) {
+		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
+	}
+	if a.store != nil {
+		if ic := a.store.cuts(iv, a.epoch); ic != nil {
+			return ic
+		}
+	}
+	e := a.entry(iv)
 	e.once.Do(func() {
 		sp := a.met.tracer.Begin("core", "cut-build")
 		var t0 time.Time
@@ -327,7 +293,7 @@ func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
 		sp.End()
 		a.builds.Add(1)
 		a.met.cutBuilds.Add(1)
-		e.done.Store(true)
+		a.store.putCuts(iv, e.ic, a.epoch)
 	})
 	return e.ic
 }
@@ -363,18 +329,12 @@ func (a *Analysis) ProxyCuts(iv *interval.Interval, kind interval.ProxyKind) *Pr
 	if !poset.Prefix(iv.Execution(), a.ex) {
 		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
 	}
-	s := a.shard(iv)
-	s.mu.RLock()
-	e, ok := s.m[iv]
-	s.mu.RUnlock()
-	if !ok {
-		s.mu.Lock()
-		if e, ok = s.m[iv]; !ok {
-			e = &cacheEntry{}
-			s.m[iv] = e
+	if a.store != nil {
+		if pc := a.store.proxyCuts(iv, kind, a.epoch); pc != nil {
+			return pc
 		}
-		s.mu.Unlock()
 	}
+	e := a.entry(iv)
 	e.proxyOnce[kind].Do(func() {
 		sp := a.met.tracer.Begin("core", "proxy-cut-build")
 		piv, err := iv.ProxyInterval(kind, interval.DefPerNode, a.clk)
@@ -386,21 +346,13 @@ func (a *Analysis) ProxyCuts(iv *interval.Interval, kind interval.ProxyKind) *Pr
 		// Seed the main cut cache for the proxy interval, so a later
 		// Cuts(piv) — e.g. a per-relation evaluator run on the cached
 		// proxies via EvalRel32 — reuses this build instead of repeating it.
-		ps := a.shard(piv)
-		ps.mu.Lock()
-		pe, ok := ps.m[piv]
-		if !ok {
-			pe = &cacheEntry{}
-			ps.m[piv] = pe
-		}
-		ps.mu.Unlock()
+		pe := a.entry(piv)
 		pe.once.Do(func() { pe.ic = pc.Cuts })
-		pe.done.Store(true)
 		e.proxy[kind] = pc
+		a.store.putProxy(iv, kind, pc, a.epoch)
 		sp.End()
 		a.proxyBuilds.Add(1)
 		a.met.proxyCutBuilds.Add(1)
-		e.proxyDone[kind].Store(true)
 	})
 	return e.proxy[kind]
 }
@@ -413,14 +365,15 @@ func (a *Analysis) buildCuts(iv *interval.Interval) *IntervalCuts {
 	least := iv.PerNodeLeast()
 	greatest := iv.PerNodeGreatest()
 	n := a.ex.NumProcs()
+	pos := make([]int, 2*n)
 	ic := &IntervalCuts{
 		IV:        iv,
 		InterDown: cuts.IntersectDown(a.clk, least),
 		UnionDown: cuts.UnionDown(a.clk, greatest),
 		InterUp:   cuts.IntersectUp(a.clk, least),
 		UnionUp:   cuts.UnionUp(a.clk, greatest),
-		FirstPos:  make([]int, n),
-		LastPos:   make([]int, n),
+		FirstPos:  pos[:n:n],
+		LastPos:   pos[n:],
 	}
 	for i := 0; i < n; i++ {
 		ic.FirstPos[i], ic.LastPos[i] = -1, -1
@@ -431,46 +384,20 @@ func (a *Analysis) buildCuts(iv *interval.Interval) *IntervalCuts {
 	for _, e := range greatest {
 		ic.LastPos[e.Proc] = e.Pos
 	}
-	ic.upStable = a.upCutsStable(least, greatest)
-	return ic
-}
-
-// upCutsStable decides whether the up-cuts built from these extrema are
-// epoch-independent (see IntervalCuts.upStable). cuts.Up maps TR(e)[i] > 0 to
-// the position of e's first causal follower on node i — a fact about the past
-// that never changes — and TR(e)[i] = 0 to TopPos(i), which grows with every
-// append on node i. InterUp[i] folds Up values with min, and a known follower
-// position is always strictly below TopPos, so the component is stable as
-// soon as ANY least event knows a follower on i. UnionUp[i] folds with max,
-// where the TopPos fallback wins, so it is stable only when EVERY greatest
-// event knows a follower on every node.
-func (a *Analysis) upCutsStable(least, greatest []poset.EventID) bool {
-	n := a.ex.NumProcs()
-	for _, e := range greatest {
-		tr := a.clk.TR(e)
-		for i := 0; i < n; i++ {
-			if tr[i] == 0 {
-				return false
-			}
-		}
-	}
-	trs := make([]vclock.VC, len(least))
-	for k, e := range least {
-		trs[k] = a.clk.TR(e)
-	}
+	// An up-cut component with no known follower is the TopPos fallback
+	// NumReal(i)+1, which grows with the epoch; every other value is a first
+	// follower's position, a fact about the past. InterUp[i] folds with min,
+	// so it is stable as soon as ANY least event knows a follower on i;
+	// UnionUp[i] folds with max, so it is stable only when EVERY greatest
+	// event does.
+	ic.upStable = true
 	for i := 0; i < n; i++ {
-		known := false
-		for _, tr := range trs {
-			if tr[i] > 0 {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return false
+		if ic.InterUp[i] > a.ex.NumReal(i) || ic.UnionUp[i] > a.ex.NumReal(i) {
+			ic.upStable = false
+			break
 		}
 	}
-	return true
+	return ic
 }
 
 // ErrOverlap is returned by EvalChecked for overlapping interval pairs.

@@ -231,12 +231,15 @@ func (c Cut) String() string { return "cut" + fmt.Sprint([]int(c)) }
 // node i is T(e)[i]. Panics when e is not a real event of the execution;
 // dummy events are not meaningful members of application-level intervals.
 func Down(c *vclock.Clocks, e poset.EventID) Cut {
+	return downInto(make(Cut, c.Execution().NumProcs()), c, e)
+}
+
+// downInto writes ↓e into d, which fold reuses across events.
+func downInto(d Cut, c *vclock.Clocks, e poset.EventID) Cut {
 	if !c.Execution().IsReal(e) {
 		panic(fmt.Sprintf("cuts: Down of non-real event %v", e))
 	}
-	t := c.T(e)
-	d := make(Cut, len(t))
-	copy(d, t)
+	copy(d, c.T(e))
 	return d
 }
 
@@ -247,12 +250,16 @@ func Down(c *vclock.Clocks, e poset.EventID) Cut {
 // follows e; cf. the paper's |E_i| − T^R(x)[i] − 1, which differs only by
 // the dummy-counting convention). Panics when e is not a real event.
 func Up(c *vclock.Clocks, e poset.EventID) Cut {
+	return upInto(make(Cut, c.Execution().NumProcs()), c, e)
+}
+
+// upInto writes e↑ into d, which fold reuses across events.
+func upInto(d Cut, c *vclock.Clocks, e poset.EventID) Cut {
 	ex := c.Execution()
 	if !ex.IsReal(e) {
 		panic(fmt.Sprintf("cuts: Up of non-real event %v", e))
 	}
 	tr := c.TR(e)
-	d := make(Cut, len(tr))
 	for i := range d {
 		d[i] = ex.NumReal(i) + 1 - tr[i]
 	}
@@ -263,19 +270,19 @@ func Up(c *vclock.Clocks, e poset.EventID) Cut {
 // execution prefix every event of X knows about. X must be non-empty and
 // consist of real events.
 func IntersectDown(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Down, minOp)
+	return fold(c, x, downInto, minOp)
 }
 
 // UnionDown returns C2(X) = ∪⇓X = ⋃_{x∈X} ↓x (Table 2): the maximal prefix
 // the events of X collectively know about.
 func UnionDown(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Down, maxOp)
+	return fold(c, x, downInto, maxOp)
 }
 
 // IntersectUp returns C3(X) = ∩⇑X = ⋂_{x∈X} x↑ (Table 2): the minimal prefix
 // whose surface events are each preceded by some event of X.
 func IntersectUp(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Up, minOp)
+	return fold(c, x, upInto, minOp)
 }
 
 // UnionUp returns C4(X) = ∪⇑X = ⋃_{x∈X} x↑ (Table 2): the minimal prefix
@@ -284,7 +291,7 @@ func IntersectUp(c *vclock.Clocks, x []poset.EventID) Cut {
 // Note: ∪⇑X is a componentwise max of the x↑ cuts; as a set it is the union,
 // and Lemma 11 shows the result is again a cut.
 func UnionUp(c *vclock.Clocks, x []poset.EventID) Cut {
-	return fold(c, x, Up, maxOp)
+	return fold(c, x, upInto, maxOp)
 }
 
 type binOp func(a, b int) int
@@ -292,13 +299,20 @@ type binOp func(a, b int) int
 func minOp(a, b int) int { return min(a, b) }
 func maxOp(a, b int) int { return max(a, b) }
 
-func fold(c *vclock.Clocks, x []poset.EventID, base func(*vclock.Clocks, poset.EventID) Cut, op binOp) Cut {
+// fold combines the cuts of the events of x componentwise with op, filling
+// one scratch cut per event after the first instead of allocating each.
+func fold(c *vclock.Clocks, x []poset.EventID, base func(Cut, *vclock.Clocks, poset.EventID) Cut, op binOp) Cut {
 	if len(x) == 0 {
 		panic("cuts: fold over empty nonatomic event")
 	}
-	acc := base(c, x[0])
+	n := c.Execution().NumProcs()
+	acc := base(make(Cut, n), c, x[0])
+	if len(x) == 1 {
+		return acc
+	}
+	next := make(Cut, n)
 	for _, e := range x[1:] {
-		next := base(c, e)
+		base(next, c, e)
 		for i := range acc {
 			acc[i] = op(acc[i], next[i])
 		}

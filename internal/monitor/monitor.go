@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,17 +87,26 @@ func NewWithAnalysis(a *core.Analysis) *Monitor {
 
 // Rebase swaps the monitor onto a new Analysis whose execution must extend
 // the current one (poset.Prefix). Registered intervals and conditions are
-// kept: every interval's home execution is validated to be a prefix of the
-// new one, so all previously-computed verdicts remain valid (appends never
-// change causality among recorded events). On error the monitor is
-// unchanged.
+// kept, and all previously-computed verdicts remain valid (appends never
+// change causality among recorded events). The check is one lineage test:
+// every interval's home execution is a prefix of the current execution
+// (DefineInterval checks it), and poset.Prefix is transitive. On error the
+// monitor is unchanged, and the error names an interval that does not
+// belong to a prefix of the new execution when there is one.
 func (m *Monitor) Rebase(a *core.Analysis) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name, iv := range m.intervals {
-		if !poset.Prefix(iv.Execution(), a.Execution()) {
-			return fmt.Errorf("monitor: rebase: interval %q does not belong to a prefix of the new execution", name)
+	if !poset.Prefix(m.a.Execution(), a.Execution()) {
+		names := make([]string, 0, len(m.intervals))
+		for name, iv := range m.intervals {
+			if !poset.Prefix(iv.Execution(), a.Execution()) {
+				names = append(names, name)
+			}
 		}
+		if len(names) > 0 {
+			return fmt.Errorf("monitor: rebase: interval %q does not belong to a prefix of the new execution", slices.Min(names))
+		}
+		return errors.New("monitor: rebase: the new execution does not extend the current one")
 	}
 	m.a = a
 	m.eval = core.NewFast(a)
@@ -134,11 +144,11 @@ func (m *Monitor) DefineInterval(name string, iv *interval.Interval) error {
 	return nil
 }
 
-// Undefine removes a registered interval so its memory (and its cut-cache
-// entries in future carried Analyses) can be reclaimed. It is the retention
-// path's release hook: the online monitor calls it once every condition
-// referencing the interval has settled and the interval has aged out of the
-// retention window. Undefining an unknown name is a no-op. Conditions that
+// Undefine removes a registered interval so its memory can be reclaimed; its
+// entries in an online stream's cut store leave when compaction passes its
+// events. It is the retention path's release hook: the online monitor calls
+// it once every condition referencing the interval has settled and the
+// interval has aged out of the retention window. Undefining an unknown name is a no-op. Conditions that
 // still reference the name will fail their next evaluation with an undefined
 // reference — callers are responsible for settling them first.
 func (m *Monitor) Undefine(name string) {

@@ -8,6 +8,7 @@ import (
 
 	"causet/internal/core"
 	"causet/internal/interval"
+	"causet/internal/poset"
 	"causet/internal/sim"
 )
 
@@ -423,4 +424,78 @@ func TestImplicationRoundTrip(t *testing.T) {
 	if len(refs) != 4 || refs[2] != "ring-round-0" || refs[3] != "ring-round-1" {
 		t.Errorf("Referenced = %v", refs)
 	}
+}
+
+// TestMonitorRebase pins Rebase's lineage rule: a later view of the same
+// builder is accepted and keeps the defined intervals, while an unrelated
+// builder's view or an earlier view is rejected and leaves the monitor on
+// its current analysis.
+func TestMonitorRebase(t *testing.T) {
+	grow := func(b *poset.Builder, rounds int) {
+		for r := 0; r < rounds; r++ {
+			if _, _, err := b.SendRecv(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := b.SendRecv(1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	analysis := func(b *poset.Builder) *core.Analysis {
+		ex, err := b.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewAnalysis(ex)
+	}
+	b := poset.NewBuilder(2)
+	grow(b, 2)
+	a1 := analysis(b)
+	m := NewWithAnalysis(a1)
+	// Round 0 (p0:1, p1:1, p1:2, p0:2) and round 1 (p0:3, p1:3, p1:4, p0:4).
+	for name, pos := range map[string]int{"x": 1, "y": 3} {
+		if err := m.Define(name, []poset.EventID{{Proc: 0, Pos: pos}, {Proc: 1, Pos: pos}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddCondition("ordered", "R1(x, y)"); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("later epoch", func(t *testing.T) {
+		grow(b, 1)
+		a2 := analysis(b)
+		if err := m.Rebase(a2); err != nil {
+			t.Fatalf("Rebase onto a later view: %v", err)
+		}
+		if m.Analysis() != a2 {
+			t.Fatal("Rebase did not switch the analysis")
+		}
+		if got := m.Check(); got[0].State != Holds {
+			t.Errorf("after Rebase: %v, want holds", got[0])
+		}
+	})
+
+	t.Run("unrelated builder", func(t *testing.T) {
+		cur := m.Analysis()
+		other := poset.NewBuilder(2)
+		grow(other, 4)
+		err := m.Rebase(analysis(other))
+		if err == nil || !strings.Contains(err.Error(), `interval "x"`) {
+			t.Fatalf("Rebase onto an unrelated builder: %v, want an error naming interval \"x\"", err)
+		}
+		if m.Analysis() != cur {
+			t.Error("a failed Rebase changed the analysis")
+		}
+	})
+
+	t.Run("earlier epoch", func(t *testing.T) {
+		cur := m.Analysis()
+		if err := m.Rebase(a1); err == nil {
+			t.Fatal("Rebase onto an earlier view succeeded")
+		}
+		if m.Analysis() != cur {
+			t.Error("a failed Rebase changed the analysis")
+		}
+	})
 }

@@ -191,6 +191,9 @@ func (s *Stream) Compact(w []int) (applied []int, dropped int, err error) {
 		s.msgFrom[p] = nm
 	}
 	copy(s.base, nw)
+	// Cuts of intervals that own a compacted event leave the cut store:
+	// no live condition can query them any more.
+	s.store.Compact(s.base)
 	s.snap = nil
 	s.metCompactions.Add(1)
 	s.metCompacted.Add(int64(dropped))

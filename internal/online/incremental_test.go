@@ -402,7 +402,7 @@ func TestMonitorCheckWindow(t *testing.T) {
 	}
 }
 
-// TestCacheCarryAcrossEpochs verifies the point of the carry chain: an
+// TestCacheCarryAcrossEpochs verifies the point of the cut store: an
 // interval whose cuts stabilized at one epoch is not rebuilt at the next.
 func TestCacheCarryAcrossEpochs(t *testing.T) {
 	s := NewStream(3)
@@ -442,12 +442,12 @@ func TestCacheCarryAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every settling check defines at most two fresh intervals; with the
-	// carry chain, the per-epoch build count must not grow with the number
-	// of previously settled intervals. Without carry, epoch k would rebuild
+	// cut store, the per-epoch build count must not grow with the number
+	// of previously settled intervals. Without it, epoch k would rebuild
 	// all k+1 intervals it defines, so the last epoch's count would be
 	// len(phases), not O(1).
 	last := builds[len(builds)-1]
 	if last > 4 {
-		t.Errorf("final epoch built %d interval cuts; carry should bound this by the freshly-referenced intervals (<= 4). build counts per epoch: %v", last, builds)
+		t.Errorf("final epoch built %d interval cuts; the cut store should bound this by the freshly-referenced intervals (<= 4). build counts per epoch: %v", last, builds)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"causet/internal/core"
-	"causet/internal/interval"
 	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/vclock"
@@ -94,8 +93,9 @@ type Stream struct {
 	base []int
 	pins map[poset.EventID]int
 
-	prev     *core.Analysis // previous snapshot, for cache carry
-	metDirty bool           // Instrument was called since prev was built
+	// store holds the epoch-stable cuts every snapshot's Analysis reads
+	// first (core.CutStore); Compact sweeps it.
+	store *core.CutStore
 
 	snap *Snapshot // cached; nil when dirty
 
@@ -107,8 +107,7 @@ type Stream struct {
 	metCompactions  *obs.Counter
 	metCompacted    *obs.Counter
 	metRetained     *obs.Gauge
-	metReg          *obs.Registry
-	metTracer       *obs.Tracer
+	metStore        *obs.Gauge
 }
 
 // NewStream starts an empty execution over procs processes.
@@ -125,6 +124,7 @@ func NewStream(procs int) *Stream {
 		msgFrom: make([][]poset.EventID, procs),
 		zeroFF:  make([]int64, procs),
 		base:    make([]int, procs),
+		store:   core.NewCutStore(),
 	}
 }
 
@@ -135,19 +135,18 @@ func (s *Stream) NumProcs() int { return s.procs }
 // The registry receives online.events (appended events, across all kinds),
 // the online.event_window sliding window (the live events/sec rate), and
 // three snapshot counters: online.snapshots counts snapshot *constructions*
-// (cheap copy-on-grow views with carried caches, so a high snapshots/events
-// ratio flags cache-carry churn, not rebuild cost), online.snapshot_reuses
-// counts Snapshot calls served from the cache unchanged, and
-// online.snapshot_rebuilds counts the constructions (online.snapshots and
-// online.snapshot_rebuilds agree; the latter exists so dashboards can pair
-// it with reuses). All are also forwarded to each Snapshot's Analysis, so
-// cut builds and evaluator comparison counts of monitor checks land in the
-// same registry.
+// (O(1) views over the shared cut store, so a high snapshots/events ratio is
+// cheap), online.snapshot_reuses counts Snapshot calls served from the cache
+// unchanged, and online.snapshot_rebuilds counts the constructions
+// (online.snapshots and online.snapshot_rebuilds agree; the latter exists so
+// dashboards can pair it with reuses). The online.cut_store_entries gauge,
+// set at each construction, is the number of intervals in the cut store — it
+// stays bounded under retention. Registry and tracer are also forwarded to
+// each Snapshot's Analysis, so cut builds and evaluator comparison counts of
+// monitor checks land in the same registry.
 func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metReg = reg
-	s.metTracer = tr
 	s.metEvents = reg.Counter("online.events")
 	s.metEventsWin = reg.Window("online.event_window", 1024)
 	s.metSnapshots = reg.Counter("online.snapshots")
@@ -156,7 +155,8 @@ func (s *Stream) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.metCompactions = reg.Counter("online.compactions")
 	s.metCompacted = reg.Counter("online.compacted_events")
 	s.metRetained = reg.Gauge("online.retained_events")
-	s.metDirty = true
+	s.metStore = reg.Gauge("online.cut_store_entries")
+	s.store.Instrument(reg, tr)
 }
 
 // Local records an internal event on proc and returns it.
@@ -339,9 +339,8 @@ type Snapshot struct {
 // Snapshot returns the current frozen view, cached until the next append.
 // The view is copy-on-grow (the message log is shared with the builder,
 // capacity-clamped), reverse timestamps are derived on demand from the
-// first-follower index, and the analysis carries the epoch-stable cut
-// caches of the previous snapshot forward. The returned snapshot is immune
-// to later appends.
+// first-follower index, and the analysis reads epoch-stable cuts from the
+// stream's cut store. The returned snapshot is immune to later appends.
 func (s *Stream) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,29 +405,8 @@ func (s *Stream) buildSnapshot() *Snapshot {
 		return t
 	}
 	clk := vclock.NewLazyRebased(ex, fwdv, basev, revFn)
-	// Cache carry across a compaction drops every interval that owns a
-	// compacted event: its cut vectors stay mathematically valid, but
-	// keeping it would pin the interval (and anything its entry references)
-	// beyond the retention window, and no live condition can query it —
-	// the monitor's watermark only passes released intervals.
-	var keep func(*interval.Interval) bool
-	if basev != nil {
-		kb := basev
-		keep = func(iv *interval.Interval) bool {
-			for _, e := range iv.Events() {
-				if e.Pos <= kb[e.Proc] {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	a := core.NewAnalysisCarryFiltered(ex, clk, s.prev, keep)
-	if s.prev == nil || s.metDirty {
-		a.Instrument(s.metReg, s.metTracer)
-		s.metDirty = false
-	}
-	s.prev = a
+	a := s.store.Analysis(ex, clk)
+	s.metStore.Set(int64(s.store.Len()))
 	return &Snapshot{Exec: ex, Analysis: a}
 }
 
