@@ -22,6 +22,7 @@ type jsonReport struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu,omitempty"` // absent from reports older than the field, BENCH_e1.json among them
 	Seed       int64  `json:"seed"`
 	Trials     int    `json:"trials"`
 	Reps       int    `json:"reps"`
@@ -156,6 +157,7 @@ func buildJSONReport(trials, reps, workers int, seed int64, reg *obs.Registry, t
 		Schema:     jsonSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Seed:       seed,
 		Trials:     trials,
 		Reps:       reps,

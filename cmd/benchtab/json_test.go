@@ -22,7 +22,18 @@ func decodeStrict(t *testing.T, data []byte) jsonReport {
 	return rep
 }
 
+// checkReport validates a freshly written report: its results and the
+// machine context it must record.
 func checkReport(t *testing.T, rep jsonReport) {
+	t.Helper()
+	checkResults(t, rep)
+	if rep.NumCPU <= 0 || rep.GOMAXPROCS <= 0 {
+		t.Errorf("num_cpu = %d, gomaxprocs = %d, want both positive", rep.NumCPU, rep.GOMAXPROCS)
+	}
+}
+
+// checkResults validates the experiment results of a report.
+func checkResults(t *testing.T, rep jsonReport) {
 	t.Helper()
 	if rep.Schema != jsonSchema {
 		t.Errorf("schema = %q, want %q", rep.Schema, jsonSchema)
@@ -101,7 +112,8 @@ func TestJSONMatchesCommittedSchema(t *testing.T) {
 		t.Fatalf("committed benchmark snapshot missing: %v", err)
 	}
 	rep := decodeStrict(t, data)
-	checkReport(t, rep)
+	// The snapshot predates num_cpu, so only its results are checked.
+	checkResults(t, rep)
 	if !strings.HasPrefix(rep.GoVersion, "go") {
 		t.Errorf("go_version = %q", rep.GoVersion)
 	}

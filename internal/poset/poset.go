@@ -79,10 +79,13 @@ type Execution struct {
 
 	// Message adjacency is derived lazily: views of a growing stream are
 	// taken once per monitor check, and most views never answer a structural
-	// query that needs the maps.
+	// query that needs it.
 	edgesOnce sync.Once
-	out       map[EventID][]EventID // message successors of a real event
-	in        map[EventID][]EventID // message predecessors of a real event
+	adj       *adjacency
+
+	// order is the linear extension Build computed while checking for
+	// cycles; nil for views, which compute it on demand.
+	order []EventID
 
 	origin    *Builder // builder this view was taken from, nil for Build results
 	epoch     int      // total real events at view time (only with origin set)
@@ -116,7 +119,10 @@ type Builder struct {
 	// can ever close a cycle and validation is O(1) per message instead of a
 	// Kahn pass per view. Message tracks the discipline; the first edge that
 	// breaks it poisons View (Build remains fully general).
-	hasOut         map[EventID]bool
+	// lastOut[p] is the highest position on p that has sent a message (0
+	// when none), so "the frontier of p has sent" is lastOut[p] ==
+	// counts[p]. Allocated by the first Message.
+	lastOut        []int
 	unsafeForViews bool
 
 	// Retention state (CompactBelow). droppedMsgs counts messages removed
@@ -157,11 +163,11 @@ func (b *Builder) AppendN(proc, n int) EventID {
 	if n <= 0 {
 		panic(fmt.Sprintf("poset: AppendN with n=%d", n))
 	}
-	var last EventID
-	for i := 0; i < n; i++ {
-		last = b.Append(proc)
+	if proc < 0 || proc >= len(b.counts) {
+		panic(fmt.Sprintf("poset: AppendN(%d) with %d processes", proc, len(b.counts)))
 	}
-	return last
+	b.counts[proc] += n
+	return EventID{Proc: proc, Pos: b.counts[proc]}
 }
 
 // Message records a causal message edge from one existing real event to
@@ -184,13 +190,13 @@ func (b *Builder) Message(from, to EventID) error {
 	// Fresh-sink check (see Builder doc): the receive must be the newest
 	// event on its process and must not already have outgoing edges,
 	// otherwise later views of this builder could observe a cyclic prefix.
-	if to.Pos != b.counts[to.Proc] || b.hasOut[to] {
+	if b.lastOut == nil {
+		b.lastOut = make([]int, len(b.counts))
+	}
+	if to.Pos != b.counts[to.Proc] || b.lastOut[to.Proc] == to.Pos {
 		b.unsafeForViews = true
 	}
-	if b.hasOut == nil {
-		b.hasOut = make(map[EventID]bool)
-	}
-	b.hasOut[from] = true
+	b.lastOut[from.Proc] = max(b.lastOut[from.Proc], from.Pos)
 	b.msgs = append(b.msgs, Message{From: from, To: to})
 	return nil
 }
@@ -224,9 +230,11 @@ func (b *Builder) Build() (*Execution, error) {
 		counts: append([]int(nil), b.counts...),
 		msgs:   append([]Message(nil), b.msgs...),
 	}
-	if _, err := ex.linearize(); err != nil {
+	order, err := ex.linearize()
+	if err != nil {
 		return nil, err
 	}
+	ex.order = order
 	return ex, nil
 }
 
@@ -263,8 +271,9 @@ func (b *Builder) View() (*Execution, error) {
 
 // CompactBelow drops retained history at or below the per-process watermark
 // w: every message edge whose sender sits at position ≤ w[proc] is removed
-// from the log (along with its fresh-sink bookkeeping), and the watermark is
-// recorded so later views know which events lost their causal neighborhood.
+// from the log, and the watermark is recorded so later views know which
+// events lost their causal neighborhood. The fresh-sink bookkeeping (one
+// position per process) needs no sweep.
 // Event positions are never renumbered — retained events keep their external
 // EventIDs, and the per-process counts remain absolute.
 //
@@ -316,19 +325,11 @@ func (b *Builder) CompactBelow(w []int) (dropped int, err error) {
 	for _, m := range b.msgs {
 		if m.From.Pos <= nw[m.From.Proc] {
 			dropped++
-			delete(b.hasOut, m.From)
 			continue
 		}
 		kept = append(kept, m)
 	}
 	b.msgs = kept
-	// The fresh-sink index only guards future receives, which always land on
-	// frontier events; entries inside the cut can never be consulted again.
-	for e := range b.hasOut {
-		if e.Pos <= nw[e.Proc] {
-			delete(b.hasOut, e)
-		}
-	}
 	b.droppedMsgs += dropped
 	b.compacted = nw
 	return dropped, nil
@@ -456,32 +457,100 @@ func (ex *Execution) compactedReal(e EventID) bool {
 	return ex.compacted != nil && e.Pos >= 1 && e.Pos <= ex.compacted[e.Proc]
 }
 
-// edges builds the message adjacency maps on first use. The maps are derived
-// purely from ex.msgs (itself immutable once the Execution exists), so the
-// sync.Once makes concurrent first calls safe.
-func (ex *Execution) edges() {
+// adjacency is the message adjacency of an execution in compressed sparse
+// row form, indexed by the flat retained-event index of slot: the message
+// successors of the event at slot i are out[outAt[i]:outAt[i+1]], and its
+// predecessors in[inAt[i]:inAt[i+1]], each in message insertion order.
+type adjacency struct {
+	first       []int // first[p]: slot of p's first retained real event
+	outAt, inAt []int // len retained+1
+	out, in     []EventID
+}
+
+// slot returns the flat index of e among the retained real events (those
+// above the compaction watermark), process-major, or -1 when e is not one:
+// dummies, out-of-range and compacted events have no slot.
+func (ex *Execution) slot(first []int, e EventID) int {
+	if e.Proc < 0 || e.Proc >= len(ex.counts) || e.Pos < 1 || e.Pos > ex.counts[e.Proc] {
+		return -1
+	}
+	lo := ex.CompactedThrough(e.Proc)
+	if e.Pos <= lo {
+		return -1
+	}
+	return first[e.Proc] + e.Pos - 1 - lo
+}
+
+// edges builds the message adjacency on first use. It is derived purely
+// from ex.msgs (itself immutable once the Execution exists), so the
+// sync.Once makes concurrent first calls safe. An edge is listed under each
+// endpoint that has a slot; compacted events have none, so they report no
+// edges, as after CompactBelow dropped the edges sent from inside the cut.
+func (ex *Execution) edges() *adjacency {
 	ex.edgesOnce.Do(func() {
-		ex.out = make(map[EventID][]EventID, len(ex.msgs))
-		ex.in = make(map[EventID][]EventID, len(ex.msgs))
-		for _, m := range ex.msgs {
-			ex.out[m.From] = append(ex.out[m.From], m.To)
-			ex.in[m.To] = append(ex.in[m.To], m.From)
+		a := &adjacency{first: make([]int, len(ex.counts))}
+		n := 0
+		for p, c := range ex.counts {
+			a.first[p] = n
+			n += c - ex.CompactedThrough(p)
 		}
+		// Count each slot's edges into at[slot], turn the counts into
+		// running ends, then place the edges back to front, decrementing
+		// each end into its slot's start.
+		a.outAt = make([]int, n+1)
+		a.inAt = make([]int, n+1)
+		for _, msg := range ex.msgs {
+			if i := ex.slot(a.first, msg.From); i >= 0 {
+				a.outAt[i]++
+			}
+			if j := ex.slot(a.first, msg.To); j >= 0 {
+				a.inAt[j]++
+			}
+		}
+		for i := 1; i <= n; i++ {
+			a.outAt[i] += a.outAt[i-1]
+			a.inAt[i] += a.inAt[i-1]
+		}
+		a.out = make([]EventID, a.outAt[n])
+		a.in = make([]EventID, a.inAt[n])
+		for k := len(ex.msgs) - 1; k >= 0; k-- {
+			msg := ex.msgs[k]
+			if i := ex.slot(a.first, msg.From); i >= 0 {
+				a.outAt[i]--
+				a.out[a.outAt[i]] = msg.To
+			}
+			if j := ex.slot(a.first, msg.To); j >= 0 {
+				a.inAt[j]--
+				a.in[a.inAt[j]] = msg.From
+			}
+		}
+		ex.adj = a
 	})
+	return ex.adj
 }
 
-// MsgSuccessors returns the receive events of messages sent at e. The slice
-// is shared; callers must not modify it.
+// MsgSuccessors returns the receive events of messages sent at e, in
+// message order; nil when there are none or e is not a retained real
+// event. The slice is shared; callers must not modify it.
 func (ex *Execution) MsgSuccessors(e EventID) []EventID {
-	ex.edges()
-	return ex.out[e]
+	a := ex.edges()
+	i := ex.slot(a.first, e)
+	if i < 0 || a.outAt[i] == a.outAt[i+1] {
+		return nil
+	}
+	return a.out[a.outAt[i]:a.outAt[i+1]:a.outAt[i+1]]
 }
 
-// MsgPredecessors returns the send events of messages received at e. The
-// slice is shared; callers must not modify it.
+// MsgPredecessors returns the send events of messages received at e, in
+// message order; nil when there are none or e is not a retained real
+// event. The slice is shared; callers must not modify it.
 func (ex *Execution) MsgPredecessors(e EventID) []EventID {
-	ex.edges()
-	return ex.in[e]
+	a := ex.edges()
+	i := ex.slot(a.first, e)
+	if i < 0 || a.inAt[i] == a.inAt[i+1] {
+		return nil
+	}
+	return a.in[a.inAt[i]:a.inAt[i+1]:a.inAt[i+1]]
 }
 
 // RealEvents returns all real events in deterministic (Proc, Pos) order.
@@ -556,7 +625,6 @@ func (ex *Execution) Concurrent(a, b EventID) bool {
 // reaches runs a BFS from real event a over program-order and message edges,
 // returning true as soon as real event b is reachable.
 func (ex *Execution) reaches(a, b EventID) bool {
-	ex.edges()
 	type key = EventID
 	seen := map[key]bool{a: true}
 	queue := []EventID{a}
@@ -575,7 +643,7 @@ func (ex *Execution) reaches(a, b EventID) bool {
 				queue = append(queue, next)
 			}
 		}
-		for _, next := range ex.out[cur] {
+		for _, next := range ex.MsgSuccessors(cur) {
 			if next == b || (next.Proc == b.Proc && next.Pos <= b.Pos) {
 				return true
 			}
@@ -599,44 +667,39 @@ func (ex *Execution) linearize() ([]EventID, error) {
 		// ≺. Fail loudly instead of replaying history in a wrong order.
 		return nil, fmt.Errorf("%w: linear extension spans dropped edges", ErrCompacted)
 	}
-	ex.edges()
+	a := ex.edges()
 	n := ex.NumEvents()
-	indeg := make(map[EventID]int, n)
+	// Without compaction, slots are process-major positions, so the
+	// program-order successor of slot i is slot i+1.
+	indeg := make([]int32, n)
 	for p, c := range ex.counts {
-		for pos := 1; pos <= c; pos++ {
-			e := EventID{Proc: p, Pos: pos}
-			d := len(ex.in[e])
-			if pos > 1 {
-				d++
-			}
-			indeg[e] = d
-		}
-	}
-	queue := make([]EventID, 0, len(ex.counts))
-	for p, c := range ex.counts {
-		if c > 0 {
-			e := EventID{Proc: p, Pos: 1}
-			if indeg[e] == 0 {
-				queue = append(queue, e)
+		for i := a.first[p]; i < a.first[p]+c; i++ {
+			indeg[i] = int32(a.inAt[i+1] - a.inAt[i])
+			if i > a.first[p] {
+				indeg[i]++
 			}
 		}
 	}
+	// The order doubles as Kahn's FIFO queue: events are appended when they
+	// become ready and emitted in the same sequence.
 	order := make([]EventID, 0, n)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		order = append(order, cur)
+	for p, c := range ex.counts {
+		if c > 0 && indeg[a.first[p]] == 0 {
+			order = append(order, EventID{Proc: p, Pos: 1})
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		cur := order[head]
+		i := a.first[cur.Proc] + cur.Pos - 1
 		if cur.Pos < ex.counts[cur.Proc] {
-			next := EventID{Proc: cur.Proc, Pos: cur.Pos + 1}
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
+			if indeg[i+1]--; indeg[i+1] == 0 {
+				order = append(order, EventID{Proc: cur.Proc, Pos: cur.Pos + 1})
 			}
 		}
-		for _, next := range ex.out[cur] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
+		for _, next := range a.out[a.outAt[i]:a.outAt[i+1]] {
+			j := a.first[next.Proc] + next.Pos - 1
+			if indeg[j]--; indeg[j] == 0 {
+				order = append(order, next)
 			}
 		}
 	}
@@ -647,8 +710,13 @@ func (ex *Execution) linearize() ([]EventID, error) {
 }
 
 // LinearExtension returns a topological order of the real events consistent
-// with ≺. The order is deterministic for a given execution.
+// with ≺. The order is deterministic for a given execution. For a Build
+// result it is the order Build computed while checking for cycles, so the
+// call is O(1); the slice is shared and callers must not modify it.
 func (ex *Execution) LinearExtension() []EventID {
+	if ex.order != nil {
+		return ex.order
+	}
 	order, err := ex.linearize()
 	if err != nil {
 		// Build guarantees acyclicity; reaching here means memory corruption

@@ -128,7 +128,10 @@ func TestOversizedCountsRejected(t *testing.T) {
 // FuzzTraceDecode throws arbitrary bytes at both decoders: they must reject
 // with an error or accept — never panic — and whatever they accept must
 // survive Execution() plus a re-encode/re-decode cycle without blowing up.
-// Seeds include valid files from both codecs and targeted corruptions.
+// It is also the differential gate of the JSON scanner: ReadJSON must accept
+// exactly what encoding/json accepts and decode it to a deeply equal File.
+// Seeds include valid files from both codecs, targeted corruptions and one
+// input per scanner fallback trigger (scanCases).
 func FuzzTraceDecode(f *testing.F) {
 	res := sim.MustGenerate(sim.Config{Pattern: sim.Ring, Procs: 3, Rounds: 2, Seed: 1})
 	named := map[string][]poset.EventID{}
@@ -157,8 +160,12 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{"version":1,"counts":[2,2],"messages":[{"from":{"proc":0,"index":2},"to":{"proc":1,"index":1}},{"from":{"proc":1,"index":2},"to":{"proc":0,"index":1}}]}`))
 	f.Add([]byte{})
+	for _, c := range scanCases {
+		f.Add([]byte(c.data))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		assertDecodersAgree(t, data)
 		for _, decode := range []func() (*File, error){
 			func() (*File, error) { return ReadJSON(bytes.NewReader(data)) },
 			func() (*File, error) { return ReadGob(bytes.NewReader(data)) },

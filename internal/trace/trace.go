@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -183,13 +184,41 @@ func (f *File) WriteJSON(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// ReadJSON decodes a JSON trace.
+// ReadJSON decodes a JSON trace. It reads r to the end. Input in the shape
+// WriteJSON produces (any whitespace layout) is decoded by a one-pass
+// scanner at memory speed; anything else (escaped strings, unknown or
+// duplicate keys, null, non-integer numbers, trailing data, ...) goes to
+// encoding/json unchanged, so the result is always the one encoding/json
+// would give.
 func ReadJSON(r io.Reader) (*File, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading JSON: %w", err)
+	}
+	return decodeJSON(data)
+}
+
+func decodeJSON(data []byte) (*File, error) {
+	if f, ok := scanJSON(data); ok {
+		return f, nil
+	}
 	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
 		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
 	}
 	return &f, nil
+}
+
+// readAll reads r to the end. When r reports its remaining length
+// (bytes.Reader, strings.Reader, bytes.Buffer) the buffer is sized up front,
+// so reading an in-memory trace is one allocation.
+func readAll(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len() + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // WriteGob writes the file in gob encoding.
@@ -222,14 +251,18 @@ func (f *File) Save(path string) error {
 
 // Load reads a trace from path, choosing the decoding by extension.
 func Load(path string) (*File, error) {
+	if filepath.Ext(path) == ".json" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return decodeJSON(data)
+	}
 	r, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	if filepath.Ext(path) == ".json" {
-		return ReadJSON(r)
-	}
 	return ReadGob(r)
 }
 

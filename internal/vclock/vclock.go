@@ -146,49 +146,60 @@ type Clocks struct {
 
 // New computes forward and reverse timestamps for all real events of ex in
 // a single forward and a single backward pass over a linear extension
-// (O(|E|·|P|) time, O(|E|·|P|) space).
+// (O(|E|·|P|) time, O(|E|·|P|) space). Every vector of a direction is
+// carved out of one arena, so the tables cost a constant number of
+// allocations however many events ex has.
 func New(ex *poset.Execution) *Clocks {
-	n := ex.NumProcs()
-	c := &Clocks{
-		ex:  ex,
-		fwd: make([][]VC, n),
-		rev: make([][]VC, n),
-	}
-	for p := 0; p < n; p++ {
-		c.fwd[p] = make([]VC, ex.NumReal(p))
-		c.rev[p] = make([]VC, ex.NumReal(p))
-	}
 	order := ex.LinearExtension()
+	c := &Clocks{ex: ex, fwd: table(ex, order), rev: table(ex, order)}
 
 	// Forward pass: T(e) = max(T(program predecessor), T(message senders)),
-	// then T(e)[proc(e)] = pos(e).
+	// then T(e)[proc(e)] = pos(e). The arena starts zeroed, so a first
+	// event needs no initialization.
 	for _, e := range order {
-		t := make(VC, n)
+		t := c.fwd[e.Proc][e.Pos-1]
 		if e.Pos > 1 {
-			t.MaxInto(c.fwd[e.Proc][e.Pos-2])
+			copy(t, c.fwd[e.Proc][e.Pos-2])
 		}
 		for _, from := range ex.MsgPredecessors(e) {
 			t.MaxInto(c.fwd[from.Proc][from.Pos-1])
 		}
 		t[e.Proc] = e.Pos
-		c.fwd[e.Proc][e.Pos-1] = t
 	}
 
 	// Backward pass: T^R(e) = max(T^R(program successor), T^R(message
 	// receivers)), then T^R(e)[proc(e)] = NumReal(proc(e)) - pos(e) + 1.
 	for i := len(order) - 1; i >= 0; i-- {
 		e := order[i]
-		t := make(VC, n)
+		t := c.rev[e.Proc][e.Pos-1]
 		if e.Pos < ex.NumReal(e.Proc) {
-			t.MaxInto(c.rev[e.Proc][e.Pos])
+			copy(t, c.rev[e.Proc][e.Pos])
 		}
 		for _, to := range ex.MsgSuccessors(e) {
 			t.MaxInto(c.rev[to.Proc][to.Pos-1])
 		}
 		t[e.Proc] = ex.NumReal(e.Proc) - e.Pos + 1
-		c.rev[e.Proc][e.Pos-1] = t
 	}
 	return c
+}
+
+// table returns zeroed [p][pos-1] rows of |P| components for every real
+// event of ex, all carved out of one arena in the given linear extension's
+// order, so the passes over it walk memory sequentially and causally close
+// events sit close together. Each row's capacity is clamped to its length,
+// so an append to a row can never spill into its neighbour.
+func table(ex *poset.Execution, order []poset.EventID) [][]VC {
+	n := ex.NumProcs()
+	t := make([][]VC, n)
+	rows := make([]VC, len(order))
+	for p := range t {
+		t[p], rows = rows[:ex.NumReal(p):ex.NumReal(p)], rows[ex.NumReal(p):]
+	}
+	arena := make([]int, len(order)*n)
+	for k, e := range order {
+		t[e.Proc][e.Pos-1] = arena[k*n : (k+1)*n : (k+1)*n]
+	}
+	return t
 }
 
 // NewLazy returns Clocks over ex whose forward table is supplied by the
