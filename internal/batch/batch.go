@@ -8,11 +8,11 @@
 //   - Matrix: the all-pairs strongest-relation matrix (Problem 4(ii)).
 //
 // Results are deterministic — results[i] always answers queries[i] and is
-// bit-identical regardless of worker count or Analysis shard count — while
-// the per-worker comparison/held/error counters are aggregated into a
-// single Stats via atomics. The shared Analysis is safe because its cut
-// cache is sharded with a build-once guarantee (core.NewAnalysisShards),
-// so concurrent cold queries on one interval coalesce into one build.
+// bit-identical regardless of worker count — while the per-worker
+// comparison/held/error counters are aggregated into a single Stats via
+// atomics. The shared Analysis is safe because each slot of its cut cache
+// has a build-once guarantee (core.Analysis.Cuts), so concurrent cold
+// queries on one interval coalesce into one build.
 package batch
 
 import (
@@ -35,10 +35,10 @@ const chunk = 32
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the pool size; values < 1 (and 1 itself) select the
-	// serial path — the engine then evaluates inline on the caller's
-	// goroutine with zero scheduling overhead, which is the baseline the
-	// parallel sweep (EXPERIMENTS.md E7) compares against.
+	// Workers is the pool size; values < 1 select runtime.GOMAXPROCS(0).
+	// 1 selects the serial path — the engine then evaluates inline on the
+	// caller's goroutine with zero scheduling overhead, which is the
+	// baseline the parallel sweep (EXPERIMENTS.md E7) compares against.
 	Workers int
 	// NewEvaluator builds one evaluator per worker (they are cheap and
 	// stateless, but giving each worker its own keeps the contract local).

@@ -11,6 +11,7 @@ import (
 	"causet/internal/core"
 	"causet/internal/hierarchy"
 	"causet/internal/interval"
+	"causet/internal/obs"
 	"causet/internal/poset"
 	"causet/internal/poset/posettest"
 )
@@ -96,13 +97,12 @@ func TestDifferentialEvaluatorAgreement(t *testing.T) {
 	}
 }
 
-// TestWorkerAndShardIndependence is the determinism property: the full
-// Results value — verdicts, per-query comparison counts, and aggregate
-// stats — is identical for every worker count and Analysis shard count.
-func TestWorkerAndShardIndependence(t *testing.T) {
+// TestWorkerIndependence is the determinism property: the full Results
+// value — verdicts, per-query comparison counts, and aggregate stats — is
+// identical for every worker count.
+func TestWorkerIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	shardCounts := []int{1, 4, core.DefaultCacheShards}
 	for trial := 0; trial < 15; trial++ {
 		ex := posettest.Random(r, 2+r.Intn(5), 12+r.Intn(30), 0.45)
 		sets := posettest.DisjointN(r, ex, 4, 4)
@@ -123,23 +123,44 @@ func TestWorkerAndShardIndependence(t *testing.T) {
 		}
 		qs := PairQueries(pairs, core.Relations())
 		var want *Results
-		for _, shards := range shardCounts {
-			a := core.NewAnalysisShards(ex, shards)
-			for _, workers := range workerCounts {
-				res := New(a, Options{Workers: workers}).EvalQueries(qs)
-				if want == nil {
-					want = res
-					continue
-				}
-				if !reflect.DeepEqual(want.Results, res.Results) {
-					t.Fatalf("trial %d: results differ at workers=%d shards=%d", trial, workers, shards)
-				}
-				if want.Stats != res.Stats {
-					t.Fatalf("trial %d: stats differ at workers=%d shards=%d: %+v vs %+v",
-						trial, workers, shards, want.Stats, res.Stats)
-				}
+		for _, workers := range workerCounts {
+			res := New(core.NewAnalysis(ex), Options{Workers: workers}).EvalQueries(qs)
+			if want == nil {
+				want = res
+				continue
+			}
+			if !reflect.DeepEqual(want.Results, res.Results) {
+				t.Fatalf("trial %d: results differ at workers=%d", trial, workers)
+			}
+			if want.Stats != res.Stats {
+				t.Fatalf("trial %d: stats differ at workers=%d: %+v vs %+v",
+					trial, workers, want.Stats, res.Stats)
 			}
 		}
+	}
+}
+
+// TestWorkersOption pins Options.Workers: a value < 1 sizes the pool to
+// GOMAXPROCS, and 1 evaluates inline on the caller's goroutine, so a batch
+// larger than one chunk records only its batch span and no worker spans.
+func TestWorkersOption(t *testing.T) {
+	a, _, qs := randomWorkload(rand.New(rand.NewSource(7)))
+	if len(qs) <= chunk {
+		t.Fatalf("workload of %d queries fits in one chunk", len(qs))
+	}
+	for _, w := range []int{0, -1} {
+		if got := New(a, Options{Workers: w}).Workers(); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("Workers: %d gives a pool of %d, want GOMAXPROCS = %d", w, got, runtime.GOMAXPROCS(0))
+		}
+	}
+	tr := obs.NewTracer()
+	eng := New(a, Options{Workers: 1, Tracer: tr})
+	if eng.Workers() != 1 {
+		t.Fatalf("Workers: 1 gives a pool of %d", eng.Workers())
+	}
+	eng.EvalQueries(qs)
+	if got := tr.Len(); got != 1 {
+		t.Errorf("Workers: 1 recorded %d spans, want only the batch span", got)
 	}
 }
 
@@ -299,7 +320,7 @@ func TestMatrixMatchesSummarize(t *testing.T) {
 	}
 }
 
-// TestSharedAnalysisStress hammers one sharded Analysis from many engines
+// TestSharedAnalysisStress hammers one Analysis from many engines
 // at once and asserts the build-once guarantee: the number of cut builds
 // equals the number of distinct intervals, not the number of queriers.
 func TestSharedAnalysisStress(t *testing.T) {
@@ -322,27 +343,25 @@ func TestSharedAnalysisStress(t *testing.T) {
 		}
 	}
 	qs := PairQueries(pairs, core.Relations())
-	for _, shards := range []int{1, 4, core.DefaultCacheShards} {
-		a := core.NewAnalysisShards(ex, shards)
-		var wg sync.WaitGroup
-		results := make([]*Results, 6)
-		for g := range results {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				results[g] = New(a, Options{Workers: 4}).EvalQueries(qs)
-			}(g)
-		}
-		wg.Wait()
-		// 32-relation proxies build extra per-proxy intervals, so only the
-		// plain-relation path runs here: builds must equal |ivs| exactly.
-		if got := a.CutBuilds(); got != int64(len(ivs)) {
-			t.Fatalf("shards=%d: %d cut builds for %d distinct intervals", shards, got, len(ivs))
-		}
-		for g := 1; g < len(results); g++ {
-			if !reflect.DeepEqual(results[0].Results, results[g].Results) {
-				t.Fatalf("shards=%d: concurrent engines disagree", shards)
-			}
+	a := core.NewAnalysis(ex)
+	var wg sync.WaitGroup
+	results := make([]*Results, 6)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = New(a, Options{Workers: 4}).EvalQueries(qs)
+		}(g)
+	}
+	wg.Wait()
+	// 32-relation proxies build extra per-proxy intervals, so only the
+	// plain-relation path runs here: builds must equal |ivs| exactly.
+	if got := a.CutBuilds(); got != int64(len(ivs)) {
+		t.Fatalf("%d cut builds for %d distinct intervals", got, len(ivs))
+	}
+	for g := 1; g < len(results); g++ {
+		if !reflect.DeepEqual(results[0].Results, results[g].Results) {
+			t.Fatal("concurrent engines disagree")
 		}
 	}
 }

@@ -13,12 +13,6 @@ import (
 	"causet/internal/vclock"
 )
 
-// DefaultCacheShards is the shard count of the cut cache under NewAnalysis.
-// Sharding bounds lock contention when many goroutines query the same
-// Analysis (internal/batch fans queries across a worker pool); 32 shards
-// keep the per-shard maps small at negligible fixed cost.
-const DefaultCacheShards = 32
-
 // cacheEntry is one slot of the cut cache. The sync.Once gives the
 // build-once guarantee: however many goroutines race on a cold interval,
 // exactly one executes buildCuts and the rest block until it is published.
@@ -34,31 +28,24 @@ type cacheEntry struct {
 	proxy     [2]*ProxyCuts
 }
 
-// cacheShard is one lock domain of the cut cache.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[*interval.Interval]*cacheEntry
-}
-
 // Analysis is the per-execution precomputation shared by the evaluators:
-// the forward/reverse timestamp structure of Section 2.3 plus a sharded
-// cache of the condensed cuts of each interval (Key Idea 1 — the cuts of a
-// nonatomic event are computed once and reused against many other events,
-// and against many concurrent queriers).
+// the forward/reverse timestamp structure of Section 2.3 plus a cache of
+// the condensed cuts of each interval (Key Idea 1 — the cuts of a nonatomic
+// event are computed once and reused against many other events, and against
+// many concurrent queriers).
 //
 // An Analysis made by a CutStore (one epoch of a growing execution) looks
-// up the store first; its own cache is then only an overlay for cuts that
-// are not yet epoch-stable, allocated on the first miss.
+// up the store first; its own cache then holds only the cuts that are not
+// yet epoch-stable.
 //
 // An Analysis is safe for concurrent use after construction.
 type Analysis struct {
 	ex  *poset.Execution
 	clk *vclock.Clocks
 
-	shards      []cacheShard
-	overlayOnce sync.Once // allocates shards of a store-backed Analysis
-	store       *CutStore // nil for an offline Analysis
-	epoch       uint64    // store epoch; see CutStore.Analysis
+	cache sync.Map  // *interval.Interval → *cacheEntry
+	store *CutStore // nil for an offline Analysis
+	epoch uint64    // store epoch; see CutStore.Analysis
 
 	builds      atomic.Int64
 	proxyBuilds atomic.Int64
@@ -169,26 +156,7 @@ func newAnalysisObs(reg *obs.Registry, tr *obs.Tracer) *analysisObs {
 // NewAnalysis computes the timestamp structure for ex. This is the one-time
 // setup cost whose amortization experiment E6 measures.
 func NewAnalysis(ex *poset.Execution) *Analysis {
-	return NewAnalysisShards(ex, DefaultCacheShards)
-}
-
-// NewAnalysisShards is NewAnalysis with an explicit cut-cache shard count
-// (minimum 1). Results never depend on the shard count — only contention
-// does; the batch property tests exercise several counts.
-func NewAnalysisShards(ex *poset.Execution, shards int) *Analysis {
-	if shards < 1 {
-		shards = 1
-	}
-	a := &Analysis{
-		ex:     ex,
-		clk:    vclock.New(ex),
-		shards: make([]cacheShard, shards),
-		met:    &noObs,
-	}
-	for i := range a.shards {
-		a.shards[i].m = make(map[*interval.Interval]*cacheEntry)
-	}
-	return a
+	return &Analysis{ex: ex, clk: vclock.New(ex), met: &noObs}
 }
 
 // Execution returns the analyzed execution.
@@ -226,38 +194,15 @@ type IntervalCuts struct {
 	upStable bool
 }
 
-// shard maps an interval to its lock domain. The hash mixes the interval's
-// first event and size rather than its address so shard placement is
-// deterministic for a given execution (and needs no unsafe).
-func (a *Analysis) shard(iv *interval.Interval) *cacheShard {
-	e := iv.Events()[0]
-	h := uint(e.Proc)*0x9e3779b1 ^ uint(e.Pos)*0x85ebca77 ^ uint(iv.Size())*0xc2b2ae3d
-	return &a.shards[h%uint(len(a.shards))]
-}
-
-// entry returns iv's cache slot: a shared-lock probe on the hot path, then
-// an exclusive-lock reservation on a miss. A store-backed Analysis
-// allocates its one-shard overlay on the first call.
+// entry returns iv's cache slot. The Load probe comes first because it
+// takes no lock and allocates nothing on a warm interval; LoadOrStore would
+// allocate the candidate slot on every call.
 func (a *Analysis) entry(iv *interval.Interval) *cacheEntry {
-	if a.store != nil {
-		a.overlayOnce.Do(func() {
-			a.shards = []cacheShard{{m: make(map[*interval.Interval]*cacheEntry)}}
-		})
+	if e, ok := a.cache.Load(iv); ok {
+		return e.(*cacheEntry)
 	}
-	s := a.shard(iv)
-	s.mu.RLock()
-	e, ok := s.m[iv]
-	s.mu.RUnlock()
-	if ok {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok = s.m[iv]; !ok {
-		e = &cacheEntry{}
-		s.m[iv] = e
-	}
-	return e
+	e, _ := a.cache.LoadOrStore(iv, new(cacheEntry))
+	return e.(*cacheEntry)
 }
 
 // Cuts returns the condensed cuts of iv, computing them on first use and
@@ -265,11 +210,10 @@ func (a *Analysis) entry(iv *interval.Interval) *cacheEntry {
 // execution.
 //
 // A store-backed Analysis serves epoch-stable cuts from its CutStore. Any
-// other lookup goes through the Analysis's own cache: the slot is reserved
-// under the shard lock, then built singleflight outside it — concurrent
-// queries for the same cold interval build its cuts exactly once
-// (CutBuilds counts), and builds of different intervals in the same shard
-// never serialize on each other.
+// other lookup goes through the Analysis's own cache: the slot's sync.Once
+// makes concurrent queries for the same cold interval build its cuts exactly
+// once (CutBuilds counts), and builds of different intervals never
+// serialize on each other.
 func (a *Analysis) Cuts(iv *interval.Interval) *IntervalCuts {
 	if !poset.Prefix(iv.Execution(), a.ex) {
 		panic(fmt.Sprintf("core: interval %v belongs to a different execution", iv))
@@ -320,7 +264,7 @@ type ProxyCuts struct {
 
 // ProxyCuts returns the cached proxy interval and proxy cuts of iv for the
 // given kind (L_X or U_X, per-node Definition 2), building them on first
-// use with the same sharded build-once guarantee as Cuts. This is the
+// use with the same build-once guarantee as Cuts. This is the
 // proxy-cut reuse behind the fused profile kernel: every relation of ℛ is
 // R(X̂, Ŷ) for proxies X̂, Ŷ, so caching the four proxy cut sets of a pair
 // turns 32 proxy materializations + cut builds per profile into at most

@@ -21,8 +21,8 @@ import (
 // once and reused against many others) applied across epochs.
 //
 // Analysis makes one epoch's Analysis in O(1); its lookups consult the store
-// first and fall through to a lazily allocated per-epoch overlay for cuts
-// that are not yet stable. An entry enters the store once, when a build
+// first and fall through to the epoch's own cut cache for cuts that are not
+// yet stable. An entry enters the store once, when a build
 // comes out stable, and leaves when Compact passes any of its interval's
 // events.
 //
